@@ -129,7 +129,7 @@ def _kernel_from_args(args) -> svm.KernelSpec:
 
 def _config_from_args(args) -> svm.TrainerConfig:
     return svm.TrainerConfig(
-        C=args.cost, kkt_tol=args.kkt_tol, max_passes=args.max_passes, seed=args.seed
+        C=args.cost, kkt_tol=args.kkt_tol, max_passes=args.max_passes
     )
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -84,6 +84,8 @@ class EvaluationReport:
     weighted: PerClassMetrics
     warnings: tuple = ()
     fold_digest: Optional[str] = None
+    # (converged fits, folds) for learners whose fit reports convergence
+    svm_folds_converged: Optional[tuple] = None
 
     @property
     def incorrect(self) -> int:
@@ -253,7 +255,7 @@ class NaiveBayesLearner:
 
     def fit(self, dataset: Dataset):
         model = naive_bayes.train(dataset, **self.train_options)
-        return lambda x: naive_bayes.predict_distribution(model, x)
+        return lambda x: naive_bayes.predict_distribution(model, x), None
 
 
 class SvmLearner:
@@ -269,7 +271,7 @@ class SvmLearner:
 
     def fit(self, dataset: Dataset):
         model = svm.train_smo(dataset, self.kernel, self.config)
-        return lambda x: svm.hard_distribution(model, x)
+        return lambda x: svm.hard_distribution(model, x), model.converged
 
 
 def smoothed_class_distribution(dataset: Dataset) -> np.ndarray:
@@ -289,12 +291,16 @@ def cross_validate(
     Returns (EvaluationReport, FoldAssignment).  Folds may be evaluated in
     parallel with ``jobs`` threads; records are pooled in (fold, within-fold)
     order either way, so the report is deterministic for a fixed seed.
+
+    ``learner.fit(train_set)`` returns ``(predictor, converged)``, where
+    ``converged`` is None for a trainer without an iterative solver.  When it
+    is not, the report counts the converged folds and warns if any did not.
     """
     folds = stratified_folds(dataset, k, seed)
 
     def run_fold(f: int):
         train_set = dataset.subset(folds.train_indices(f))
-        predictor = learner.fit(train_set)
+        predictor, converged = learner.fit(train_set)
         baseline = smoothed_class_distribution(train_set)
         out = []
         for i in folds.test_indices(f):
@@ -303,7 +309,7 @@ def cross_validate(
                 (PredictionRecord(dataset.labels[i], dist, dataset.class_labels),
                  baseline)
             )
-        return out
+        return out, converged
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -311,9 +317,16 @@ def cross_validate(
     else:
         per_fold = [run_fold(f) for f in range(k)]
 
-    records = [rec for fold in per_fold for rec, _ in fold]
-    baselines = [base for fold in per_fold for _, base in fold]
+    records = [rec for fold, _ in per_fold for rec, _ in fold]
+    baselines = [base for fold, _ in per_fold for _, base in fold]
     report = evaluate(records, baselines, fold_digest=folds.digest())
+    flags = [converged for _, converged in per_fold if converged is not None]
+    if flags:
+        m = sum(flags)
+        warnings = report.warnings
+        if m < k:
+            warnings += (f"SMO did not converge in {k - m} of {k} folds",)
+        report = replace(report, warnings=warnings, svm_folds_converged=(m, k))
     return report, folds
 
 
@@ -403,6 +416,9 @@ def render_machine(report: EvaluationReport) -> str:
         lines.append(f"weighted.{name} = {getattr(report.weighted, name):.17g}")
     if report.fold_digest:
         lines.append(f"fold_digest = {report.fold_digest}")
+    if report.svm_folds_converged is not None:
+        converged, folds = report.svm_folds_converged
+        lines.append(f"svm_folds_converged = {converged}/{folds}")
     for i, warning in enumerate(report.warnings):
         lines.append(f"warning.{i} = {warning}")
     return "\n".join(lines) + "\n"

@@ -10,6 +10,12 @@ fully deterministic, and stops via a bias-free gap criterion, so a final bias
 computed from the free support vectors always satisfies the KKT conditions
 within the configured tolerance on convergence.
 
+Each iteration costs O(n) in-place vector work.  The solver keeps
+g_i = sum_j alpha_j y_j K_ij and the violation vector F = y - g, and marks
+the up and low index sets with 0 / -inf (0 / +inf) penalty vectors.  Only
+alpha_i and alpha_j of the chosen pair move, so g changes by two kernel rows,
+F is recomputed from g as y - g, and set membership changes only at i and j.
+
 Class mapping is fixed: UP -> +1, DOWN -> -1, and a decision value of exactly
 zero classifies as DOWN.
 """
@@ -75,14 +81,12 @@ class TrainerConfig:
 
     ``max_passes`` bounds the optimization effort: each pass performs at most
     n two-variable updates, and the solver stops early once the largest KKT
-    violation falls within ``kkt_tol``.  ``seed`` is accepted for interface
-    stability but unused: the maximal-violating-pair solver is deterministic.
+    violation falls within ``kkt_tol``.
     """
 
     C: float = 1.0
     kkt_tol: float = 1e-3
     max_passes: int = 100
-    seed: int = 0
 
     def __post_init__(self):
         if not (self.C > 0 and self.kkt_tol > 0 and self.max_passes >= 1):
@@ -133,8 +137,15 @@ def kernel_matrix(spec: KernelSpec, X, Z) -> np.ndarray:
         return inner
     if spec.kind == POLY:
         return (inner + 1.0) ** spec.degree
-    sq = (X * X).sum(axis=1)[:, None] + (Z * Z).sum(axis=1)[None, :] - 2.0 * inner
-    return np.exp(-np.maximum(sq, 0.0) / spec.delta_sq)
+    # In place, in the association order of
+    # exp(-max(|x|^2 + |z|^2 - 2 x.z, 0) / delta_sq): two (n, m) arrays.
+    sq = (X * X).sum(axis=1)[:, None] + (Z * Z).sum(axis=1)[None, :]
+    inner *= 2.0
+    sq -= inner
+    np.maximum(sq, 0.0, out=sq)
+    np.negative(sq, out=sq)
+    sq /= spec.delta_sq
+    return np.exp(sq, out=sq)
 
 
 def labels_to_pm1(labels) -> np.ndarray:
@@ -157,40 +168,45 @@ def train_smo(dataset: Dataset, kernel: KernelSpec, config: TrainerConfig) -> Sv
         raise TrainingError(f"single-class training data: {counts}")
     X = dataset.features
     y = labels_to_pm1(dataset.labels)
-    K = kernel_matrix(kernel, X, X)
+    K = kernel_matrix(kernel, X, X)  # bitwise symmetric: row K[i] is column i
+    diag = K.diagonal()
     C, tol = config.C, config.kkt_tol
 
-    alpha = np.zeros(n)
     g = np.zeros(n)  # g_i = sum_j alpha_j y_j K_ij
+    F = y - g
+    up, low = _index_sets(np.zeros(n), y, C)
+    up_pen = np.where(up, 0.0, -np.inf)
+    low_pen = np.where(low, 0.0, np.inf)
+    Fu, Fl, step_i, step_j = (np.empty(n) for _ in range(4))
+    # Python floats while the loop runs: scalar reads of lists are cheaper
+    a, ys = [0.0] * n, y.tolist()
     snap = 1e-10 * max(1.0, C)
     budget = config.max_passes * n
     converged = False
     for _ in range(budget):
-        F = y - g
-        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-        low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
-        if not up.any() or not low.any():
-            converged = True
-            break
-        Fu = np.where(up, F, -np.inf)
-        Fl = np.where(low, F, np.inf)
-        i = int(np.argmax(Fu))
-        j = int(np.argmin(Fl))
+        np.add(F, up_pen, out=Fu)
+        np.add(F, low_pen, out=Fl)
+        i = int(Fu.argmax())
+        j = int(Fl.argmin())
+        # an empty up (low) set leaves -inf (+inf) here, so the gap test
+        # also stops on it
         if Fu[i] - Fl[j] <= tol:
             converged = True
             break
-        s = y[i] * y[j]
-        ai_old, aj_old = alpha[i], alpha[j]
+        yi, yj = ys[i], ys[j]
+        s = yi * yj
+        ai_old, aj_old = a[i], a[j]
         if s < 0:
             lo, hi = max(0.0, aj_old - ai_old), min(C, C + aj_old - ai_old)
         else:
             lo, hi = max(0.0, ai_old + aj_old - C), min(C, ai_old + aj_old)
         if lo >= hi:
             break  # most violating pair cannot move: genuinely stuck
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        eta = diag[i] + diag[j] - 2.0 * K[i, j]
         if eta > 0:
-            aj_new = float(np.clip(aj_old - y[j] * (F[i] - F[j]) / eta, lo, hi))
+            aj_new = float(min(max(aj_old - yj * (F[i] - F[j]) / eta, lo), hi))
         else:
+            alpha = np.array(a)
             aj_new = lo if _dual_delta(alpha, y, K, i, j, s, lo) >= _dual_delta(
                 alpha, y, K, i, j, s, hi
             ) else hi
@@ -205,14 +221,30 @@ def train_smo(dataset: Dataset, kernel: KernelSpec, config: TrainerConfig) -> Sv
             aj_new = 0.0
         elif aj_new > C - snap:
             aj_new = C
-        g += (ai_new - ai_old) * y[i] * K[:, i] + (aj_new - aj_old) * y[j] * K[:, j]
-        alpha[i], alpha[j] = ai_new, aj_new
+        np.multiply(K[i], (ai_new - ai_old) * yi, out=step_i)
+        np.multiply(K[j], (aj_new - aj_old) * yj, out=step_j)
+        step_i += step_j
+        g += step_i
+        np.subtract(y, g, out=F)
+        a[i], a[j] = ai_new, aj_new
+        for k in (i, j):
+            up_pen[k] = 0.0 if (a[k] < C if ys[k] > 0 else a[k] > 0) else -np.inf
+            low_pen[k] = 0.0 if (a[k] > 0 if ys[k] > 0 else a[k] < C) else np.inf
 
+    alpha = np.array(a)
     _repair_equality(alpha, y, C)
     g = K @ (alpha * y)
     b = _fit_bias(alpha, y, g, C)
     worst = _worst_violation(alpha, y, g + b, C)
     return _package(X, alpha, y, b, kernel, C, converged and worst <= tol, worst)
+
+
+def _index_sets(alpha, y, C):
+    """Masks of the samples whose alpha may move so that y_i alpha_i grows
+    (up) or shrinks (low)."""
+    up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+    low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
+    return up, low
 
 
 def _dual_delta(alpha, y, K, i, j, s, aj_value):
@@ -246,8 +278,7 @@ def _fit_bias(alpha, y, g, C):
     free = (alpha > 0) & (alpha < C)
     if free.any():
         return float(F[free].mean())
-    up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-    low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
+    up, low = _index_sets(alpha, y, C)
     lo = F[up].max() if up.any() else -math.inf
     hi = F[low].min() if low.any() else math.inf
     if math.isfinite(lo) and math.isfinite(hi):
@@ -260,15 +291,10 @@ def _fit_bias(alpha, y, g, C):
 def _worst_violation(alpha, y, f, C):
     """Largest KKT violation over all training samples given f = g + b."""
     yf = y * f
-    worst = 0.0
-    for i in range(len(y)):
-        if alpha[i] <= 0:
-            worst = max(worst, 1.0 - yf[i])
-        elif alpha[i] >= C:
-            worst = max(worst, yf[i] - 1.0)
-        else:
-            worst = max(worst, abs(yf[i] - 1.0))
-    return worst
+    violation = np.select(
+        [alpha <= 0, alpha >= C], [1.0 - yf, yf - 1.0], np.abs(yf - 1.0)
+    )
+    return max(0.0, float(violation.max()))
 
 
 def _package(X, alpha, y, b, kernel, C, converged, worst):

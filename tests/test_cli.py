@@ -146,6 +146,7 @@ def test_cv_machine_output_is_reproducible(tmp_path):
     assert entries["correct"] == "19"
     assert float(entries["rae_percent"]) == pytest.approx(79.39640570815253)
     assert float(entries["rrse_percent"]) == pytest.approx(108.76560666771722)
+    assert "svm_folds_converged" not in entries
 
 
 def test_cv_text_layout(capsys):
@@ -156,6 +157,28 @@ def test_cv_text_layout(capsys):
                   "=== Confusion matrix ==="):
         assert block in out
     assert f"{'Correctly classified instances':40s}{20:6d}" in out
+
+
+def test_cv_reports_svm_folds_that_did_not_converge(tmp_path, capsys):
+    def machine(*flags):
+        path = tmp_path / "cv.txt"
+        assert run("cv", "--model", "svm", "--format", "machine", *flags,
+                   "--output", str(path)) == 0
+        return dict(line.partition(" = ")[::2]
+                    for line in path.read_text().strip().splitlines())
+
+    entries = machine()
+    assert entries["svm_folds_converged"] == "10/10"
+    assert not any(key.startswith("warning.") for key in entries)
+    entries = machine("--max-passes", "1")
+    converged, folds = map(int, entries["svm_folds_converged"].split("/"))
+    assert folds == 10 and converged < folds
+    message = f"SMO did not converge in {folds - converged} of {folds} folds"
+    assert entries["warning.0"] == message
+    assert run("cv", "--model", "svm", "--max-passes", "1") == 0
+    assert f"note: {message}" in capsys.readouterr().out
+    assert run("cv", "--model", "svm") == 0
+    assert "note:" not in capsys.readouterr().out
 
 
 def test_cv_jobs_do_not_change_output(tmp_path):
@@ -199,6 +222,8 @@ def test_compare_machine_report(tmp_path):
     assert entries["nb.fold_digest"] == entries["fold_digest"]
     assert entries["nb.correct"] == "19"
     assert entries["svm.correct"] == "20"
+    assert entries["svm.svm_folds_converged"] == "10/10"
+    assert "nb.svm_folds_converged" not in entries
     for prefix in ("nb", "svm"):
         for key in ("accuracy", "kappa", "mae", "rmse", "rae_percent",
                     "rrse_percent", "confusion.UP.DOWN"):

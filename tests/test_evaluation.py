@@ -188,7 +188,7 @@ class MemorizingLearner:
             onehot[ds.CLASS_LABELS.index(label)] = 1.0
             return onehot
 
-        return predict
+        return predict, None
 
 
 def test_no_test_row_leaks_into_training(market_data):

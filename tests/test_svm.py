@@ -228,3 +228,173 @@ def test_load_rejects_other_files(tmp_path):
     path.write_text("model = nb\n")
     with pytest.raises(DataFormatError):
         svm.load_model(path)
+
+
+# ------------------------------------------------ reference (per-iteration rebuild)
+# The solver as it was before its bookkeeping went in place: every iteration
+# rebuilds F, the index-set masks and the penalized copies, and reads kernel
+# columns.  The current solver must reproduce it bit for bit.
+def _reference_kernel_matrix(spec, X, Z):
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    inner = X @ Z.T
+    if spec.kind == svm.LINEAR:
+        return inner
+    if spec.kind == svm.POLY:
+        return (inner + 1.0) ** spec.degree
+    sq = (X * X).sum(axis=1)[:, None] + (Z * Z).sum(axis=1)[None, :] - 2.0 * inner
+    return np.exp(-np.maximum(sq, 0.0) / spec.delta_sq)
+
+
+def _reference_worst_violation(alpha, y, f, C):
+    yf = y * f
+    worst = 0.0
+    for i in range(len(y)):
+        if alpha[i] <= 0:
+            worst = max(worst, 1.0 - yf[i])
+        elif alpha[i] >= C:
+            worst = max(worst, yf[i] - 1.0)
+        else:
+            worst = max(worst, abs(yf[i] - 1.0))
+    return worst
+
+
+def _reference_train_smo(dataset, kernel, config):
+    n = len(dataset)
+    X = dataset.features
+    y = svm.labels_to_pm1(dataset.labels)
+    K = _reference_kernel_matrix(kernel, X, X)
+    C, tol = config.C, config.kkt_tol
+
+    alpha = np.zeros(n)
+    g = np.zeros(n)  # g_i = sum_j alpha_j y_j K_ij
+    snap = 1e-10 * max(1.0, C)
+    budget = config.max_passes * n
+    converged = False
+    for _ in range(budget):
+        F = y - g
+        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+        low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
+        if not up.any() or not low.any():
+            converged = True
+            break
+        Fu = np.where(up, F, -np.inf)
+        Fl = np.where(low, F, np.inf)
+        i = int(np.argmax(Fu))
+        j = int(np.argmin(Fl))
+        if Fu[i] - Fl[j] <= tol:
+            converged = True
+            break
+        s = y[i] * y[j]
+        ai_old, aj_old = alpha[i], alpha[j]
+        if s < 0:
+            lo, hi = max(0.0, aj_old - ai_old), min(C, C + aj_old - ai_old)
+        else:
+            lo, hi = max(0.0, ai_old + aj_old - C), min(C, ai_old + aj_old)
+        if lo >= hi:
+            break  # most violating pair cannot move: genuinely stuck
+        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        if eta > 0:
+            aj_new = float(np.clip(aj_old - y[j] * (F[i] - F[j]) / eta, lo, hi))
+        else:
+            aj_new = lo if svm._dual_delta(alpha, y, K, i, j, s, lo) >= svm._dual_delta(
+                alpha, y, K, i, j, s, hi
+            ) else hi
+        if aj_new == aj_old:
+            break
+        ai_new = ai_old + s * (aj_old - aj_new)
+        if ai_new < snap:
+            ai_new = 0.0
+        elif ai_new > C - snap:
+            ai_new = C
+        if aj_new < snap:
+            aj_new = 0.0
+        elif aj_new > C - snap:
+            aj_new = C
+        g += (ai_new - ai_old) * y[i] * K[:, i] + (aj_new - aj_old) * y[j] * K[:, j]
+        alpha[i], alpha[j] = ai_new, aj_new
+
+    svm._repair_equality(alpha, y, C)
+    g = K @ (alpha * y)
+    b = svm._fit_bias(alpha, y, g, C)
+    worst = _reference_worst_violation(alpha, y, g + b, C)
+    return svm._package(X, alpha, y, b, kernel, C, converged and worst <= tol, worst)
+
+
+def _assert_same_model(model, ref):
+    for field in ("coefficients", "support_vectors", "labels"):
+        got, want = getattr(model, field), getattr(ref, field)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), field
+    assert model.bias.hex() == ref.bias.hex()
+    assert model.converged == ref.converged
+    assert model.kkt_violation.hex() == ref.kkt_violation.hex()
+
+
+def _overlapping_problem(seed, n=80, d=4, scale=1.0):
+    rng = np.random.default_rng(seed)
+    return toy_dataset(rng.normal(0.3, 1.0, size=(n // 2, d)) * scale,
+                       rng.normal(-0.3, 1.0, size=(n - n // 2, d)) * scale)
+
+
+KERNELS = [svm.linear_kernel(), svm.polynomial_kernel(2), svm.rbf_kernel(1.0)]
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+@pytest.mark.parametrize("C", [0.1, 1.0, 4.0])
+def test_solver_matches_reference_bitwise(kernel, C, market_data):
+    for data in (_overlapping_problem(5), market_data):
+        config = svm.TrainerConfig(C=C)
+        _assert_same_model(svm.train_smo(data, kernel, config),
+                           _reference_train_smo(data, kernel, config))
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+def test_solver_matches_reference_on_pass_budget(kernel):
+    data = _overlapping_problem(6)
+    config = svm.TrainerConfig(C=4.0, max_passes=1)
+    model = svm.train_smo(data, kernel, config)
+    assert not model.converged
+    _assert_same_model(model, _reference_train_smo(data, kernel, config))
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+@pytest.mark.parametrize("C", [0.1, 1.0, 4.0])
+def test_solver_matches_reference_at_large_feature_scale(kernel, C):
+    # At feature scale 1e6 the linear and polynomial fits stall without
+    # converging.  With one row shared by both classes, eta = 0 for the
+    # polynomial kernel at C = 0.1, and the chosen pair cannot move, which
+    # ends the loop through its early exit.
+    rng = np.random.default_rng(3)
+    up, down = rng.normal(size=(4, 2)), rng.normal(size=(3, 2))
+    down[0] = up[0]
+    config = svm.TrainerConfig(C=C)
+    for data in (_overlapping_problem(7, n=30, scale=1e6),
+                 toy_dataset(up * 1e6, down * 1e6)):
+        _assert_same_model(svm.train_smo(data, kernel, config),
+                           _reference_train_smo(data, kernel, config))
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+def test_kernel_matrix_matches_reference_and_is_symmetric(kernel):
+    rng = np.random.default_rng(8)
+    X, Z = rng.normal(size=(40, 6)), rng.normal(size=(25, 6))
+    assert (svm.kernel_matrix(kernel, X, Z).tobytes()
+            == _reference_kernel_matrix(kernel, X, Z).tobytes())
+    K = svm.kernel_matrix(kernel, X, X)
+    assert K.tobytes() == _reference_kernel_matrix(kernel, X, X).tobytes()
+    # the solver reads row K[i] in place of column K[:, i]
+    assert K.tobytes() == np.ascontiguousarray(K.T).tobytes()
+
+
+def test_worst_violation_matches_reference():
+    rng = np.random.default_rng(9)
+    for C in (0.5, 1.0, 3.0):
+        alpha = rng.choice([0.0, C, 0.25 * C, 0.75 * C], size=50)
+        y = rng.choice([-1.0, 1.0], size=50)
+        f = rng.normal(scale=2.0, size=50)
+        got = svm._worst_violation(alpha, y, f, C)
+        assert got.hex() == float(_reference_worst_violation(alpha, y, f, C)).hex()
+    # every sample satisfied: the floor at zero
+    assert svm._worst_violation(np.zeros(2), np.array([1.0, -1.0]),
+                                np.array([2.0, -2.0]), 1.0) == 0.0
