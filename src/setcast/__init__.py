@@ -24,7 +24,6 @@ from .errors import DataFormatError, TrainingError
 from .evaluation import (
     EvaluationReport,
     NaiveBayesLearner,
-    PredictionRecord,
     SvmLearner,
     cross_validate,
     evaluate,
@@ -41,7 +40,6 @@ __all__ = [
     "EvaluationReport",
     "FoldAssignment",
     "NaiveBayesLearner",
-    "PredictionRecord",
     "SvmLearner",
     "TrainingError",
     "build_training_table",

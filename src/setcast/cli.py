@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from importlib import resources
@@ -29,8 +30,6 @@ from .errors import DataFormatError, TrainingError
 
 DATA_DIR_ENV = "SETCAST_DATA_DIR"
 DEFAULT_DATA_FILE = "set_samples.csv"
-
-_SMOOTHING = {"add-one": "add_one", "reciprocal": "reciprocal_fallback"}
 
 
 def default_data_path() -> str:
@@ -54,8 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--model", choices=("nb", "svm"), default="nb")
         p.add_argument("--priors", choices=("frequency", "uniform"),
                        default="frequency", help="naive Bayes prior mode")
-        p.add_argument("--smoothing", choices=tuple(_SMOOTHING), default="add-one",
-                       help="naive Bayes categorical smoothing")
         p.add_argument("--kernel", choices=(svm.LINEAR, svm.POLY, svm.RBF),
                        default=svm.LINEAR)
         p.add_argument("--degree", type=int, default=2,
@@ -65,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cost", type=float, default=1.0, help="SVM box constraint C")
         p.add_argument("--kkt-tol", type=float, default=1e-3)
         p.add_argument("--max-passes", type=int, default=100)
-        p.add_argument("--seed", type=int, default=1)
         p.add_argument("--output", help="write to this path instead of stdout")
 
     p_ingest = sub.add_parser("ingest", help="build labeled samples from raw prices")
@@ -86,15 +82,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv = sub.add_parser("cv", help="stratified k-fold cross-validation")
     add_common(p_cv)
     p_cv.add_argument("--folds", type=int, default=10)
+    p_cv.add_argument("--seed", type=int, default=1, help="fold assignment seed")
     p_cv.add_argument("--format", choices=("text", "machine"), default="text")
-    p_cv.add_argument("--jobs", type=int, default=1)
     p_cv.set_defaults(func=cmd_cv)
 
     p_cmp = sub.add_parser("compare", help="both classifiers on identical folds")
     add_common(p_cmp, model_flag=False)
     p_cmp.add_argument("--folds", type=int, default=10)
+    p_cmp.add_argument("--seed", type=int, default=1, help="fold assignment seed")
     p_cmp.add_argument("--format", choices=("text", "machine"), default="text")
-    p_cmp.add_argument("--jobs", type=int, default=1)
     p_cmp.set_defaults(func=cmd_compare)
     return parser
 
@@ -113,9 +109,7 @@ def _emit(text: str, output) -> None:
 
 def _make_learner(args):
     if args.model == "nb":
-        return evaluation.NaiveBayesLearner(
-            priors=args.priors, smoothing=_SMOOTHING[args.smoothing]
-        )
+        return evaluation.NaiveBayesLearner(priors=args.priors)
     return evaluation.SvmLearner(_kernel_from_args(args), _config_from_args(args))
 
 
@@ -154,9 +148,7 @@ def cmd_train(args) -> int:
     if not args.output:
         raise DataFormatError("train requires --output for the model file")
     if args.model == "nb":
-        model = naive_bayes.train(
-            data, priors=args.priors, smoothing=_SMOOTHING[args.smoothing]
-        )
+        model = naive_bayes.train(data, priors=args.priors)
         naive_bayes.save_model(model, args.output)
     else:
         model = svm.train_smo(data, _kernel_from_args(args), _config_from_args(args))
@@ -169,51 +161,53 @@ def cmd_train(args) -> int:
 
 def _load_sample_matrix(path) -> np.ndarray:
     """Feature rows of a sample CSV; the label column is optional and
-    ignored.  An empty (header-only) file yields a (0, d) matrix."""
+    ignored.  Every row must have the header's length and finite features.
+    An empty (header-only) file yields a (0, d) matrix."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise DataFormatError(f"{path}: missing header")
         header = [h.strip() for h in header]
-        if header == list(ds.ATTRIBUTE_NAMES) + [ds.LABEL_COLUMN]:
-            width = len(ds.ATTRIBUTE_NAMES)
-        elif header == list(ds.ATTRIBUTE_NAMES):
-            width = len(ds.ATTRIBUTE_NAMES)
-        else:
+        if header not in (list(ds.ATTRIBUTE_NAMES),
+                          list(ds.ATTRIBUTE_NAMES) + [ds.LABEL_COLUMN]):
             raise DataFormatError(f"{path}: unrecognized sample header")
+        width = len(ds.ATTRIBUTE_NAMES)
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise DataFormatError(
+                    f"{path}:{lineno}: {len(row)} values, header has {len(header)}"
+                )
             try:
-                rows.append([float(v) for v in row[:width]])
+                values = [float(v) for v in row[:width]]
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                raise DataFormatError(f"{path}:{lineno}: non-finite feature value")
+            rows.append(values)
     return np.array(rows, dtype=float).reshape(len(rows), width)
 
 
 def _load_any_model(path):
+    """The module that reads and applies a model file, and the model in it."""
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().strip()
-    if first == "model = nb":
-        model = naive_bayes.load_model(path)
-        return model, lambda x: naive_bayes.predict_distribution(model, x), \
-            model.class_labels
-    if first == "model = svm":
-        model = svm.load_model(path)
-        return model, lambda x: svm.hard_distribution(model, x), ds.CLASS_LABELS
-    raise DataFormatError(f"{path}: unreadable model file")
+    module = {"model = nb": naive_bayes, "model = svm": svm}.get(first)
+    if module is None:
+        raise DataFormatError(f"{path}: unreadable model file")
+    return module, module.load_model(path)
 
 
 def cmd_predict(args) -> int:
-    _, predictor, class_labels = _load_any_model(args.model_file)
+    module, model = _load_any_model(args.model_file)
     X = _load_sample_matrix(args.data if args.data else default_data_path())
-    lines = ["PREDICTED," + ",".join(f"P_{c}" for c in class_labels)]
-    for x in X:
-        dist = predictor(x)
-        label = class_labels[int(np.argmax(dist))]
-        lines.append(label + "," + ",".join(format(p, ".17g") for p in dist))
+    dist = module.predict_proba(model, X)
+    lines = ["PREDICTED," + ",".join(f"P_{c}" for c in model.class_labels)]
+    for i, row in zip(np.argmax(dist, axis=1), dist.tolist()):
+        lines.append(model.class_labels[i] + "," + ",".join(format(p, ".17g") for p in row))
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -221,9 +215,7 @@ def cmd_predict(args) -> int:
 def cmd_cv(args) -> int:
     data = ds.load_samples(_data_path(args))
     learner = _make_learner(args)
-    report, _ = evaluation.cross_validate(
-        data, learner, args.folds, args.seed, jobs=args.jobs
-    )
+    report, _ = evaluation.cross_validate(data, learner, args.folds, args.seed)
     if args.format == "machine":
         header = _config_lines(args, model=learner.describe())
         text = "\n".join(header) + "\n" + evaluation.render_machine(report)
@@ -249,16 +241,14 @@ def cmd_compare(args) -> int:
     data = ds.load_samples(_data_path(args))
     if any(count == 0 for count in data.class_counts().values()):
         raise DataFormatError("both classes must be present to compare models")
-    nb_learner = evaluation.NaiveBayesLearner(
-        priors=args.priors, smoothing=_SMOOTHING[args.smoothing]
-    )
+    nb_learner = evaluation.NaiveBayesLearner(priors=args.priors)
     svm_learner = evaluation.SvmLearner(_kernel_from_args(args),
                                         _config_from_args(args))
     nb_report, nb_folds = evaluation.cross_validate(
-        data, nb_learner, args.folds, args.seed, jobs=args.jobs
+        data, nb_learner, args.folds, args.seed
     )
     svm_report, svm_folds = evaluation.cross_validate(
-        data, svm_learner, args.folds, args.seed, jobs=args.jobs
+        data, svm_learner, args.folds, args.seed
     )
     if nb_folds.digest() != svm_folds.digest():
         raise AssertionError("fold assignments diverged between models")

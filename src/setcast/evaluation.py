@@ -5,7 +5,7 @@ Metric conventions follow the common toolkit definitions so reports can be
 compared line-for-line with standard output:
 
 * MAE and RMSE average the absolute / squared differences between the
-  predicted distribution and the one-hot actual over every (record, class)
+  predicted distribution and the one-hot actual over every (row, class)
   component, so a hard classifier has MAE = 1 - accuracy and
   RMSE = sqrt(1 - accuracy) exactly.
 * Relative errors divide by the same error of a baseline predictor that
@@ -17,44 +17,17 @@ compared line-for-line with standard output:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from . import naive_bayes, svm
-from .dataset import CLASS_LABELS, Dataset, FoldAssignment, stratified_folds
+from .dataset import CLASS_LABELS, Dataset, stratified_folds
 from .errors import DataFormatError
 
 DIST_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One evaluated sample: the actual class and the predicted distribution.
-
-    ``predicted`` is the argmax of the distribution; an exact tie goes to the
-    class listed first.
-    """
-
-    actual: str
-    distribution: np.ndarray
-    class_labels: tuple = CLASS_LABELS
-
-    def __post_init__(self):
-        dist = np.asarray(self.distribution, dtype=float)
-        object.__setattr__(self, "distribution", dist)
-        if dist.shape != (len(self.class_labels),):
-            raise DataFormatError("distribution length must match class count")
-        if (dist < 0).any() or abs(dist.sum() - 1.0) > DIST_TOL:
-            raise DataFormatError(f"not a distribution: {dist}")
-        if self.actual not in self.class_labels:
-            raise DataFormatError(f"unknown actual class {self.actual!r}")
-
-    @property
-    def predicted(self) -> str:
-        return self.class_labels[int(np.argmax(self.distribution))]
 
 
 @dataclass(frozen=True)
@@ -92,27 +65,37 @@ class EvaluationReport:
         return self.n - self.correct
 
 
-def confusion_matrix(records, class_labels=CLASS_LABELS) -> np.ndarray:
-    matrix = np.zeros((len(class_labels), len(class_labels)), dtype=int)
-    index = {c: i for i, c in enumerate(class_labels)}
-    for rec in records:
-        matrix[index[rec.actual], index[rec.predicted]] += 1
-    return matrix
+def _checked(actual_idx, dist, k: int):
+    """Validate one prediction per row: the actual class index and a
+    distribution over k classes.  Returns both as arrays."""
+    actual_idx = np.asarray(actual_idx)
+    dist = np.asarray(dist, dtype=float)
+    if dist.ndim != 2 or dist.shape[1] != k or actual_idx.shape != dist.shape[:1]:
+        raise DataFormatError("distribution length must match class count")
+    if len(dist) == 0:
+        raise DataFormatError("no prediction records")
+    if (dist < 0).any() or not (np.abs(dist.sum(axis=1) - 1.0) <= DIST_TOL).all():
+        raise DataFormatError("not a distribution: a row is negative or does not sum to 1")
+    if actual_idx.dtype.kind not in "iu" or ((actual_idx < 0) | (actual_idx >= k)).any():
+        raise DataFormatError("unknown actual class index")
+    return actual_idx, dist
 
 
-def records_from_matrix(matrix, class_labels=CLASS_LABELS):
-    """Expand a confusion matrix into hard one-hot prediction records."""
+def confusion_matrix(actual_idx, dist) -> np.ndarray:
+    """Counts of (actual, predicted) class pairs; the predicted class is the
+    argmax of the distribution, an exact tie going to the class listed first."""
+    k = dist.shape[1]
+    cells = np.asarray(actual_idx) * k + np.argmax(dist, axis=1)
+    return np.bincount(cells, minlength=k * k).reshape(k, k)
+
+
+def records_from_matrix(matrix):
+    """Expand a confusion matrix into hard one-hot predictions:
+    (actual_idx, dist) in row-major cell order."""
     matrix = np.asarray(matrix, dtype=int)
-    records = []
-    for ai, actual in enumerate(class_labels):
-        for pi in range(len(class_labels)):
-            onehot = np.zeros(len(class_labels))
-            onehot[pi] = 1.0
-            records.extend(
-                PredictionRecord(actual, onehot, class_labels)
-                for _ in range(matrix[ai, pi])
-            )
-    return records
+    k = len(matrix)
+    actual, predicted = np.divmod(np.repeat(np.arange(k * k), matrix.ravel()), k)
+    return actual, np.eye(k)[predicted]
 
 
 def kappa_statistic(matrix) -> float:
@@ -128,68 +111,70 @@ def kappa_statistic(matrix) -> float:
     return (po - pe) / (1.0 - pe)
 
 
-def absolute_errors(records):
+def absolute_errors(actual_idx, dist):
     """(MAE, RMSE) of distributions against one-hot actuals, averaged over
-    every record and class component."""
-    abs_sum = sq_sum = 0.0
-    components = 0
-    for rec in records:
-        target = np.zeros(len(rec.class_labels))
-        target[rec.class_labels.index(rec.actual)] = 1.0
-        diff = rec.distribution - target
-        abs_sum += np.abs(diff).sum()
-        sq_sum += (diff * diff).sum()
-        components += diff.size
-    if components == 0:
+    every row and class component."""
+    if len(dist) == 0:
         raise DataFormatError("no prediction records")
-    return abs_sum / components, math.sqrt(sq_sum / components)
+    diff = np.array(dist, dtype=float)
+    diff[np.arange(len(diff)), actual_idx] -= 1.0
+    # Row sums are added one after another as a running total.  np.sum adds
+    # pairwise, which would change the last digit of MAE, RMSE and the
+    # relative errors against reports written by the per-row loop.
+    abs_sum = np.cumsum(np.abs(diff).sum(axis=1))[-1]
+    sq_sum = np.cumsum((diff * diff).sum(axis=1))[-1]
+    return abs_sum / diff.size, math.sqrt(sq_sum / diff.size)
 
 
-def relative_errors(records, baselines):
-    """(RAE %, RRSE %) against per-record baseline distributions."""
-    base_records = [
-        PredictionRecord(rec.actual, base, rec.class_labels)
-        for rec, base in zip(records, baselines)
-    ]
-    mae, rmse = absolute_errors(records)
-    base_mae, base_rmse = absolute_errors(base_records)
+def relative_errors(actual_idx, dist, baseline):
+    """(RAE %, RRSE %) against per-row baseline distributions."""
+    actual_idx, baseline = _checked(actual_idx, baseline, np.shape(dist)[1])
+    mae, rmse = absolute_errors(actual_idx, dist)
+    base_mae, base_rmse = absolute_errors(actual_idx, baseline)
     if base_mae == 0 or base_rmse == 0:
         raise DataFormatError("baseline predictor has zero error")
     return 100.0 * mae / base_mae, 100.0 * rmse / base_rmse
 
 
-def roc_area(records, class_index: int) -> float:
+def roc_area(actual_idx, dist, class_index: int) -> float:
     """Mann-Whitney area under the ROC curve for one class, ties half credit.
 
-    Degenerate record sets (no positives or no negatives) score 0.5.
+    Degenerate inputs (no positives or no negatives) score 0.5.  Wins and
+    ties are counted as integers against the sorted negatives, in
+    O(n log n).
     """
-    labels = records[0].class_labels if records else CLASS_LABELS
-    positive = labels[class_index]
-    scores = np.array([rec.distribution[class_index] for rec in records])
-    is_pos = np.array([rec.actual == positive for rec in records])
-    pos, neg = scores[is_pos], scores[~is_pos]
+    scores = np.asarray(dist)[:, class_index]
+    is_pos = np.asarray(actual_idx) == class_index
+    pos, neg = scores[is_pos], np.sort(scores[~is_pos])
     if pos.size == 0 or neg.size == 0:
         return 0.5
-    wins = (pos[:, None] > neg[None, :]).sum()
-    ties = (pos[:, None] == neg[None, :]).sum()
+    below = np.searchsorted(neg, pos, side="left")
+    wins = below.sum()
+    ties = (np.searchsorted(neg, pos, side="right") - below).sum()
     return float((wins + 0.5 * ties) / (pos.size * neg.size))
 
 
-def evaluate(records, baselines=None, fold_digest=None) -> EvaluationReport:
-    """Build the full report from pooled prediction records."""
-    if not records:
-        raise DataFormatError("no prediction records")
-    class_labels = records[0].class_labels
-    matrix = confusion_matrix(records, class_labels)
+def evaluate(
+    actual_idx, dist, baseline=None, *, class_labels=CLASS_LABELS, fold_digest=None
+) -> EvaluationReport:
+    """Build the full report from pooled predictions.
+
+    ``actual_idx`` (n,) holds each row's actual class as an index into
+    ``class_labels``; ``dist`` (n, k) the predicted distributions, and
+    ``baseline`` (n, k), when given, the baseline predictor's distributions
+    for the relative errors.  Malformed input raises DataFormatError.
+    """
+    actual_idx, dist = _checked(actual_idx, dist, len(class_labels))
+    matrix = confusion_matrix(actual_idx, dist)
     n = int(matrix.sum())
     correct = int(np.trace(matrix))
     accuracy = correct / n
-    mae, rmse = absolute_errors(records)
+    mae, rmse = absolute_errors(actual_idx, dist)
     # bounded-range sanity: components live in [0, 1]
     assert mae <= rmse + 1e-12 and rmse <= math.sqrt(mae) + 1e-12
     rae = rrse = None
-    if baselines is not None:
-        rae, rrse = relative_errors(records, baselines)
+    if baseline is not None:
+        rae, rrse = relative_errors(actual_idx, dist, baseline)
 
     warnings = []
     per_class = []
@@ -214,7 +199,7 @@ def evaluate(records, baselines=None, fold_digest=None) -> EvaluationReport:
         per_class.append(
             PerClassMetrics(
                 label, recall, fp_rate, precision, recall, f_measure,
-                roc_area(records, ci),
+                roc_area(actual_idx, dist, ci),
             )
         )
     weights = supports / n
@@ -255,7 +240,7 @@ class NaiveBayesLearner:
 
     def fit(self, dataset: Dataset):
         model = naive_bayes.train(dataset, **self.train_options)
-        return lambda x: naive_bayes.predict_distribution(model, x), None
+        return partial(naive_bayes.predict_proba, model), None
 
 
 class SvmLearner:
@@ -271,7 +256,7 @@ class SvmLearner:
 
     def fit(self, dataset: Dataset):
         model = svm.train_smo(dataset, self.kernel, self.config)
-        return lambda x: svm.hard_distribution(model, x), model.converged
+        return partial(svm.predict_proba, model), model.converged
 
 
 def smoothed_class_distribution(dataset: Dataset) -> np.ndarray:
@@ -283,44 +268,35 @@ def smoothed_class_distribution(dataset: Dataset) -> np.ndarray:
     )
 
 
-def cross_validate(
-    dataset: Dataset, learner, k: int, seed: int, jobs: int = 1
-):
+def cross_validate(dataset: Dataset, learner, k: int, seed: int):
     """Stratified k-fold cross-validation of a learner.
 
-    Returns (EvaluationReport, FoldAssignment).  Folds may be evaluated in
-    parallel with ``jobs`` threads; records are pooled in (fold, within-fold)
-    order either way, so the report is deterministic for a fixed seed.
+    Returns (EvaluationReport, FoldAssignment).  Predictions are pooled in
+    (fold, within-fold) order, so the report is deterministic for a fixed
+    seed.
 
-    ``learner.fit(train_set)`` returns ``(predictor, converged)``, where
+    ``learner.fit(train_set)`` returns ``(predict_rows, converged)``:
+    ``predict_rows(X)`` maps (n, d) feature rows to (n, k) distributions, and
     ``converged`` is None for a trainer without an iterative solver.  When it
     is not, the report counts the converged folds and warns if any did not.
     """
     folds = stratified_folds(dataset, k, seed)
-
-    def run_fold(f: int):
+    tests, dists, baselines, flags = [], [], [], []
+    for f in range(k):
         train_set = dataset.subset(folds.train_indices(f))
-        predictor, converged = learner.fit(train_set)
-        baseline = smoothed_class_distribution(train_set)
-        out = []
-        for i in folds.test_indices(f):
-            dist = predictor(dataset.features[i])
-            out.append(
-                (PredictionRecord(dataset.labels[i], dist, dataset.class_labels),
-                 baseline)
-            )
-        return out, converged
+        predict_rows, converged = learner.fit(train_set)
+        test = folds.test_indices(f)
+        dists.append(predict_rows(dataset.features[test]))
+        baselines.append(np.broadcast_to(smoothed_class_distribution(train_set),
+                                         dists[-1].shape))
+        tests.append(test)
+        if converged is not None:
+            flags.append(converged)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_fold = list(pool.map(run_fold, range(k)))
-    else:
-        per_fold = [run_fold(f) for f in range(k)]
-
-    records = [rec for fold, _ in per_fold for rec, _ in fold]
-    baselines = [base for fold, _ in per_fold for _, base in fold]
-    report = evaluate(records, baselines, fold_digest=folds.digest())
-    flags = [converged for _, converged in per_fold if converged is not None]
+    actual_idx = np.array([dataset.class_labels.index(c) for c in dataset.labels])
+    report = evaluate(actual_idx[np.concatenate(tests)], np.concatenate(dists),
+                      np.concatenate(baselines),
+                      class_labels=dataset.class_labels, fold_digest=folds.digest())
     if flags:
         m = sum(flags)
         warnings = report.warnings

@@ -131,11 +131,6 @@ def gaussian_pdf(x: float, params: GaussianParams) -> float:
     return math.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * params.sigma)
 
 
-def _log_gaussian_pdf(x: float, params: GaussianParams) -> float:
-    z = (x - params.mu) / params.sigma
-    return -0.5 * z * z - math.log(math.sqrt(2.0 * math.pi) * params.sigma)
-
-
 def categorical_likelihood(model: NaiveBayesModel, class_label, attribute, value) -> float:
     """Smoothed P(value | class) for a categorical attribute."""
     ci = model.class_labels.index(class_label)
@@ -229,23 +224,40 @@ def train(
     )
 
 
-def predict_distribution(model: NaiveBayesModel, x) -> np.ndarray:
-    """Posterior distribution over model.class_labels for one sample."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.n_attributes(),):
+def predict_proba(model: NaiveBayesModel, X) -> np.ndarray:
+    """Posterior distributions over model.class_labels, one row per sample of
+    X (n, d).
+
+    Scores accumulate per class from log(prior), one attribute at a time,
+    with the log normalizer as one scalar per (class, attribute): the same
+    operations in the same order for every row, so a row's posterior does not
+    depend on the batch it is in.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != model.n_attributes():
         raise DataFormatError(
-            f"sample has {x.shape} features, model expects {model.n_attributes()}"
+            f"samples have shape {X.shape[1:]}, model expects {model.n_attributes()} features"
         )
-    scores = np.log(model.priors).copy()
+    scores = np.empty((X.shape[0], len(model.class_labels)))
+    scores[:] = np.log(model.priors)
     for ci in range(len(model.class_labels)):
+        column = scores[:, ci]
         for ai, kind in enumerate(model.kinds):
             if kind == CONTINUOUS:
-                scores[ci] += _log_gaussian_pdf(float(x[ai]), model.gaussians[(ci, ai)])
+                params = model.gaussians[(ci, ai)]
+                z = (X[:, ai] - params.mu) / params.sigma
+                column += -0.5 * z * z - math.log(math.sqrt(2.0 * math.pi) * params.sigma)
             else:
-                scores[ci] += math.log(model.tables[(ci, ai)].probability(float(x[ai])))
-    scores -= scores.max()
+                table = model.tables[(ci, ai)]
+                column += [math.log(table.probability(float(v))) for v in X[:, ai]]
+    scores -= scores.max(axis=1, keepdims=True)
     weights = np.exp(scores)
-    return weights / weights.sum()
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+def predict_distribution(model: NaiveBayesModel, x) -> np.ndarray:
+    """Posterior distribution over model.class_labels for one sample."""
+    return predict_proba(model, np.asarray(x, dtype=float)[None])[0]
 
 
 def classify(model: NaiveBayesModel, x) -> str:

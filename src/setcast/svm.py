@@ -33,6 +33,9 @@ LINEAR = "linear"
 POLY = "poly"
 RBF = "rbf"
 
+#: Size of the kernel block decision_values evaluates at once.
+KERNEL_BLOCK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -110,6 +113,7 @@ class SvmModel:
     C: float
     converged: bool
     kkt_violation: float = float("nan")
+    class_labels = CLASS_LABELS  # column order of predict_proba; not a field
 
 
 def kernel_eval(spec: KernelSpec, x, z) -> float:
@@ -317,23 +321,36 @@ def decision_value(model: SvmModel, x) -> float:
 
 
 def decision_values(model: SvmModel, X) -> np.ndarray:
+    """f(x) for every row of X, in row blocks whose kernel block holds about
+    KERNEL_BLOCK_BYTES, so memory stays flat in the number of rows."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if len(model.coefficients) == 0:
+    weights = model.coefficients * model.labels
+    if len(weights) == 0:
         return np.full(X.shape[0], model.bias)
-    Kx = kernel_matrix(model.kernel, X, model.support_vectors)
-    return Kx @ (model.coefficients * model.labels) + model.bias
+    rows = max(1, KERNEL_BLOCK_BYTES // (8 * len(weights)))
+    out = np.empty(X.shape[0])
+    for start in range(0, X.shape[0], rows):
+        block = kernel_matrix(model.kernel, X[start:start + rows], model.support_vectors)
+        out[start:start + rows] = block @ weights + model.bias
+    return out
+
+
+def predict_proba(model: SvmModel, X) -> np.ndarray:
+    """One-hot (n, 2) distributions over CLASS_LABELS: UP for a positive
+    decision value, DOWN otherwise (zero counts as DOWN)."""
+    up = decision_values(model, X) > 0
+    columns = np.where(up, CLASS_LABELS.index(UP), CLASS_LABELS.index(DOWN))
+    return np.eye(len(CLASS_LABELS))[columns]
+
+
+def hard_distribution(model: SvmModel, x) -> np.ndarray:
+    """One-hot distribution over (UP, DOWN) for one sample."""
+    return predict_proba(model, x)[0]
 
 
 def classify(model: SvmModel, x) -> str:
     """UP for a positive decision value, DOWN otherwise (zero counts as DOWN)."""
-    return UP if decision_value(model, x) > 0 else DOWN
-
-
-def hard_distribution(model: SvmModel, x) -> np.ndarray:
-    """One-hot distribution over (UP, DOWN) from the hard classification."""
-    onehot = np.zeros(len(CLASS_LABELS))
-    onehot[CLASS_LABELS.index(classify(model, x))] = 1.0
-    return onehot
+    return CLASS_LABELS[int(np.argmax(hard_distribution(model, x)))]
 
 
 def save_model(model: SvmModel, path) -> None:

@@ -78,9 +78,9 @@ def test_criterion_1_gaussian_parameter_reproduction(market_data):
 
 # ---------------------------------------------------------------- criterion 2
 def test_criterion_2_reference_matrix_metrics():
-    first = ev.evaluate(ev.records_from_matrix([[13, 3], [7, 7]]))
+    first = ev.evaluate(*ev.records_from_matrix([[13, 3], [7, 7]]))
     up = first.per_class[0]
-    second = ev.evaluate(ev.records_from_matrix([[11, 5], [8, 6]]))
+    second = ev.evaluate(*ev.records_from_matrix([[11, 5], [8, 6]]))
     checks = [
         ("accuracy%", 100 * first.accuracy, 66.6667, 5e-4),
         ("kappa", first.kappa, 0.3182, 1e-4),
@@ -106,14 +106,11 @@ def test_criterion_3_hard_predictor_error_identities():
     worst = 0.0
     for _ in range(200):
         n = int(rng.integers(1, 61))
-        records = []
-        for _ in range(n):
-            onehot = np.zeros(2)
-            onehot[int(rng.integers(2))] = 1.0
-            records.append(
-                ev.PredictionRecord(ds.CLASS_LABELS[int(rng.integers(2))], onehot)
-            )
-        report = ev.evaluate(records)
+        actual, dist = np.zeros(n, dtype=int), np.zeros((n, 2))
+        for r in range(n):
+            dist[r, int(rng.integers(2))] = 1.0
+            actual[r] = int(rng.integers(2))
+        report = ev.evaluate(actual, dist)
         # the identities in their exact floating-point form
         assert report.mae == report.incorrect / report.n
         assert report.rmse == math.sqrt(report.incorrect / report.n)

@@ -122,6 +122,21 @@ def test_predict_dimension_mismatch(tmp_path):
     assert run("predict", "--model-file", str(model_path)) == 2
 
 
+@pytest.mark.parametrize("bad_row", ["1,2,3,4,5", "1,2,3,4,5,6", "1,2,nan,4,5,6,UP",
+                                     "1,2,3,inf,5,6,DOWN"])
+@pytest.mark.parametrize("model", ["nb", "svm"])
+def test_predict_rejects_ragged_or_non_finite_rows(tmp_path, capsys, model, bad_row):
+    model_path = tmp_path / f"{model}.model"
+    assert run("train", "--model", model, "--output", str(model_path)) == 0
+    samples = tmp_path / "bad.csv"
+    header = ",".join(ds.ATTRIBUTE_NAMES) + "," + ds.LABEL_COLUMN
+    samples.write_text(f"{header}\n1,2,3,4,5,6,UP\n{bad_row}\n")
+    assert run("predict", "--model-file", str(model_path),
+               "--data", str(samples)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{samples}:3:" in captured.err
+
+
 def test_predict_unreadable_model_file(tmp_path):
     bogus = tmp_path / "bogus.model"
     bogus.write_text("something else entirely\n")
@@ -179,14 +194,6 @@ def test_cv_reports_svm_folds_that_did_not_converge(tmp_path, capsys):
     assert f"note: {message}" in capsys.readouterr().out
     assert run("cv", "--model", "svm") == 0
     assert "note:" not in capsys.readouterr().out
-
-
-def test_cv_jobs_do_not_change_output(tmp_path):
-    serial, threaded = tmp_path / "serial.txt", tmp_path / "threaded.txt"
-    common = ("cv", "--model", "svm", "--format", "machine", "--seed", "7")
-    assert run(*common, "--jobs", "1", "--output", str(serial)) == 0
-    assert run(*common, "--jobs", "4", "--output", str(threaded)) == 0
-    assert serial.read_bytes() == threaded.read_bytes()
 
 
 def test_cv_rejects_single_fold(capsys):
@@ -256,6 +263,16 @@ def test_data_dir_environment_override(tmp_path, monkeypatch, capsys):
     assert run("cv", "--format", "machine") == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == f"data = {tmp_path / cli.DEFAULT_DATA_FILE}"
+
+
+@pytest.mark.parametrize("argv", [
+    ("cv", "--jobs", "2"), ("compare", "--jobs", "2"),
+    ("cv", "--smoothing", "add-one"), ("train", "--seed", "1", "--output", "m"),
+], ids=["cv-jobs", "compare-jobs", "smoothing", "train-seed"])
+def test_removed_flags_exit_2(argv):
+    with pytest.raises(SystemExit) as info:
+        run(*argv)
+    assert info.value.code == 2
 
 
 def test_unknown_flag_value_exits_2():

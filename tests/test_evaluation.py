@@ -14,7 +14,7 @@ TOL_3DP = 5.1e-4  # half an ulp at three printed decimals
 
 
 def report_from_matrix(matrix):
-    return ev.evaluate(ev.records_from_matrix(matrix))
+    return ev.evaluate(*ev.records_from_matrix(matrix))
 
 
 # ----------------------------------------------------------- matrix statistics
@@ -73,36 +73,78 @@ def test_hard_predictor_identities(matrix):
 @st.composite
 def probabilistic_records(draw):
     n = draw(st.integers(1, 12))
-    records = []
-    for _ in range(n):
-        p = draw(st.floats(0.0, 1.0))
-        actual = draw(st.sampled_from(ds.CLASS_LABELS))
-        records.append(ev.PredictionRecord(actual, np.array([p, 1.0 - p])))
-    return records
+    p_up = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    actual = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    return actual, np.column_stack([p_up, 1.0 - p_up])
 
 
 @settings(max_examples=80, deadline=None)
 @given(probabilistic_records())
 def test_error_metric_ordering(records):
-    mae, rmse = ev.absolute_errors(records)
+    mae, rmse = ev.absolute_errors(*records)
     assert mae <= rmse + 1e-12
     assert rmse <= math.sqrt(mae) + 1e-12
 
 
+def test_absolute_errors_match_per_row_loop():
+    # the running total of the per-row loop the array path replaced, which
+    # the reports' last digits depend on
+    rng = np.random.default_rng(3)
+    p_up = rng.random(1000)
+    dist = np.column_stack([p_up, 1.0 - p_up])
+    actual = rng.integers(0, 2, size=1000)
+    abs_sum = sq_sum = 0.0
+    for a, row in zip(actual, dist):
+        diff = row - np.eye(2)[a]
+        abs_sum += np.abs(diff).sum()
+        sq_sum += (diff * diff).sum()
+    assert ev.absolute_errors(actual, dist) == (abs_sum / dist.size,
+                                               math.sqrt(sq_sum / dist.size))
+
+
 # ------------------------------------------------------------------- ROC areas
-def _scored(actual, p_up):
-    return ev.PredictionRecord(actual, np.array([p_up, 1.0 - p_up]))
+def _scored(*pairs):
+    """(actual_idx, dist) arrays from (actual label, P(UP)) pairs."""
+    actual = np.array([ds.CLASS_LABELS.index(label) for label, _ in pairs])
+    p_up = np.array([p for _, p in pairs], dtype=float)
+    return actual, np.column_stack([p_up, 1.0 - p_up])
 
 
 def test_roc_area_cases():
-    perfect = [_scored(ds.UP, 0.9), _scored(ds.UP, 0.8), _scored(ds.DOWN, 0.3)]
-    assert ev.roc_area(perfect, 0) == 1.0
-    reversed_ = [_scored(ds.UP, 0.1), _scored(ds.DOWN, 0.9)]
-    assert ev.roc_area(reversed_, 0) == 0.0
-    tied = [_scored(ds.UP, 0.8), _scored(ds.UP, 0.5),
-            _scored(ds.DOWN, 0.5), _scored(ds.DOWN, 0.2)]
-    assert ev.roc_area(tied, 0) == pytest.approx(0.875)
-    assert ev.roc_area([_scored(ds.UP, 0.7)], 0) == 0.5  # degenerate
+    perfect = _scored((ds.UP, 0.9), (ds.UP, 0.8), (ds.DOWN, 0.3))
+    assert ev.roc_area(*perfect, 0) == 1.0
+    reversed_ = _scored((ds.UP, 0.1), (ds.DOWN, 0.9))
+    assert ev.roc_area(*reversed_, 0) == 0.0
+    tied = _scored((ds.UP, 0.8), (ds.UP, 0.5), (ds.DOWN, 0.5), (ds.DOWN, 0.2))
+    assert ev.roc_area(*tied, 0) == pytest.approx(0.875)
+    assert ev.roc_area(*_scored((ds.UP, 0.7)), 0) == 0.5  # degenerate
+
+
+def _pairwise_roc_area(actual_idx, dist, class_index):
+    """The Mann-Whitney area by its definition: every (positive, negative)
+    pair compared, ties half credit."""
+    scores = dist[:, class_index]
+    is_pos = actual_idx == class_index
+    pos, neg = scores[is_pos], scores[~is_pos]
+    if pos.size == 0 or neg.size == 0:
+        return 0.5
+    wins = (pos[:, None] > neg[None, :]).sum()
+    ties = (pos[:, None] == neg[None, :]).sum()
+    return float((wins + 0.5 * ties) / (pos.size * neg.size))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_roc_area_matches_pairwise_definition(data):
+    n = data.draw(st.integers(1, 40))
+    # a small score alphabet makes ties common; one class may be absent
+    p_up = np.array(data.draw(st.lists(
+        st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0),
+        min_size=n, max_size=n)))
+    actual = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    dist = np.column_stack([p_up, 1.0 - p_up])
+    for ci in range(2):
+        assert ev.roc_area(actual, dist, ci) == _pairwise_roc_area(actual, dist, ci)
 
 
 def test_degenerate_class_warning():
@@ -115,33 +157,34 @@ def test_degenerate_class_warning():
 
 # ------------------------------------------------------------- relative errors
 def test_relative_errors_of_baseline_are_100_percent():
-    records = [
-        _scored(ds.UP, 0.6), _scored(ds.DOWN, 0.6),
-        _scored(ds.UP, 0.4), _scored(ds.DOWN, 0.4),
-    ]
-    baselines = [rec.distribution for rec in records]
-    rae, rrse = ev.relative_errors(records, baselines)
+    actual, dist = _scored((ds.UP, 0.6), (ds.DOWN, 0.6), (ds.UP, 0.4), (ds.DOWN, 0.4))
+    rae, rrse = ev.relative_errors(actual, dist, dist.copy())
     assert rae == pytest.approx(100.0)
     assert rrse == pytest.approx(100.0)
 
 
 def test_relative_errors_zero_baseline_rejected():
-    records = [_scored(ds.UP, 0.7)]
+    actual, dist = _scored((ds.UP, 0.7))
     with pytest.raises(DataFormatError):
-        ev.relative_errors(records, [np.array([1.0, 0.0])])
+        ev.relative_errors(actual, dist, np.array([[1.0, 0.0]]))
 
 
-# ------------------------------------------------------------ record contracts
-def test_prediction_record_validation():
-    with pytest.raises(DataFormatError):
-        ev.PredictionRecord(ds.UP, np.array([0.7, 0.4]))
-    with pytest.raises(DataFormatError):
-        ev.PredictionRecord(ds.UP, np.array([1.2, -0.2]))
-    with pytest.raises(DataFormatError):
-        ev.PredictionRecord(ds.UP, np.array([1.0]))
-    with pytest.raises(DataFormatError):
-        ev.PredictionRecord("SIDEWAYS", np.array([0.5, 0.5]))
-    assert ev.PredictionRecord(ds.DOWN, np.array([0.5, 0.5])).predicted == ds.UP
+# ------------------------------------------------------------ input contracts
+def test_evaluate_rejects_malformed_input():
+    for actual, dist in (
+        ([0], [[0.7, 0.4]]),  # does not sum to 1
+        ([0], [[1.2, -0.2]]),  # negative entry
+        ([0], [[1.0]]),  # wrong row length
+        ([2], [[0.5, 0.5]]),  # unknown class index
+        ([0, 1], [[0.5, 0.5], [np.nan, 0.5]]),  # NaN sums to no distribution
+    ):
+        with pytest.raises(DataFormatError):
+            ev.evaluate(np.array(actual), np.array(dist))
+        with pytest.raises(DataFormatError):  # the same checks cover the baseline
+            ev.evaluate(np.array(actual), np.eye(2)[[0] * len(actual)], np.array(dist))
+    # an exact tie predicts the class listed first
+    report = ev.evaluate([1], [[0.5, 0.5]])
+    np.testing.assert_array_equal(report.confusion, [[0, 0], [1, 0]])
 
 
 def test_smoothed_class_distribution(market_data):
@@ -164,14 +207,6 @@ def test_cross_validate_svm_frozen(market_data):
     assert (report.n, report.correct) == (30, 20)
 
 
-def test_parallel_folds_match_serial(market_data):
-    serial, _ = ev.cross_validate(market_data, ev.NaiveBayesLearner(), 10, 3)
-    threaded, _ = ev.cross_validate(
-        market_data, ev.NaiveBayesLearner(), 10, 3, jobs=3
-    )
-    assert ev.render_machine(serial) == ev.render_machine(threaded)
-
-
 class MemorizingLearner:
     """Answers the stored label for feature rows seen in training and UP
     otherwise; detects any leakage of test rows into the training partition."""
@@ -182,13 +217,11 @@ class MemorizingLearner:
     def fit(self, dataset):
         table = {tuple(x): lab for x, lab in zip(dataset.features, dataset.labels)}
 
-        def predict(x):
-            label = table.get(tuple(x), ds.UP)
-            onehot = np.zeros(len(ds.CLASS_LABELS))
-            onehot[ds.CLASS_LABELS.index(label)] = 1.0
-            return onehot
+        def predict_rows(X):
+            labels = [table.get(tuple(x), ds.UP) for x in X]
+            return np.eye(len(ds.CLASS_LABELS))[[ds.CLASS_LABELS.index(c) for c in labels]]
 
-        return predict, None
+        return predict_rows, None
 
 
 def test_no_test_row_leaks_into_training(market_data):
@@ -243,6 +276,6 @@ def test_render_machine_keys(market_data):
 
 def test_evaluate_requires_records():
     with pytest.raises(DataFormatError):
-        ev.evaluate([])
+        ev.evaluate(np.zeros(0, dtype=int), np.zeros((0, 2)))
     with pytest.raises(DataFormatError):
-        ev.absolute_errors([])
+        ev.absolute_errors(np.zeros(0, dtype=int), np.zeros((0, 2)))

@@ -201,6 +201,44 @@ def test_schema_mismatch():
         nb.predict_distribution(model, [1.0])
 
 
+def _per_row_reference(model, x):
+    """The posterior by the one-row loop the batch path replaced: log prior,
+    then each attribute's log-likelihood added in attribute order."""
+    scores = np.log(model.priors).copy()
+    for ci in range(len(model.class_labels)):
+        for ai, kind in enumerate(model.kinds):
+            if kind == nb.CONTINUOUS:
+                params = model.gaussians[(ci, ai)]
+                z = (float(x[ai]) - params.mu) / params.sigma
+                scores[ci] += -0.5 * z * z - math.log(math.sqrt(2.0 * math.pi) * params.sigma)
+            else:
+                scores[ci] += math.log(model.tables[(ci, ai)].probability(float(x[ai])))
+    scores -= scores.max()
+    weights = np.exp(scores)
+    return weights / weights.sum()
+
+
+@pytest.mark.parametrize("kinds, options", [
+    ((nb.CONTINUOUS,) * 3, {"estimator": "rounded"}),
+    ((nb.CONTINUOUS,) * 3, {"estimator": "plain"}),
+    ((nb.CATEGORICAL, nb.CONTINUOUS, nb.CATEGORICAL), {"smoothing": "add_one"}),
+    ((nb.CATEGORICAL, nb.CONTINUOUS, nb.CATEGORICAL), {"smoothing": "reciprocal_fallback"}),
+], ids=["rounded", "plain", "categorical-add-one", "categorical-reciprocal"])
+def test_predict_proba_rows_equal_one_row_posteriors(kinds, options):
+    rng = np.random.default_rng(11)
+    train_rows = np.round(rng.normal(size=(40, 3)) * 2)  # few distinct categories
+    data = toy_dataset(train_rows[:22], train_rows[22:] + 1.0)
+    model = nb.train(data, kinds=kinds, **options)
+    X = np.vstack([np.round(rng.normal(size=(200, 3)) * 3),
+                   [[1e6, -1e6, 1e6], [-1e150, 1e150, 0.0], [99.0, 1e-300, -99.0]]])
+    batch = nb.predict_proba(model, X)
+    assert batch.shape == (len(X), 2)
+    for row, x in zip(batch, X):
+        np.testing.assert_array_equal(row, nb.predict_distribution(model, x))
+        np.testing.assert_array_equal(row, _per_row_reference(model, x))
+    assert nb.predict_proba(model, X[:0]).shape == (0, 2)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_distribution_is_normalized(data):

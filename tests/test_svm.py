@@ -159,6 +159,27 @@ def test_classification_rule():
     np.testing.assert_array_equal(svm.hard_distribution(tie, [0.0]), [0.0, 1.0])
 
 
+@pytest.mark.parametrize("kernel", [svm.linear_kernel(), svm.rbf_kernel(1.0)],
+                         ids=["linear", "rbf"])
+def test_predict_proba_agrees_with_per_row_classify(kernel, monkeypatch):
+    rng = np.random.default_rng(4)
+    data = toy_dataset(rng.normal(0.5, 1.0, size=(15, 3)), rng.normal(-0.5, 1.0, size=(15, 3)))
+    model = _train(data, kernel)
+    m = len(model.coefficients)
+    # blocks of 7 rows; 23 rows leave a short last block
+    monkeypatch.setattr(svm, "KERNEL_BLOCK_BYTES", 8 * m * 7)
+    X = rng.normal(size=(23, 3))
+    dist = svm.predict_proba(model, X)
+    assert [ds.CLASS_LABELS[i] for i in dist.argmax(axis=1)] == [
+        svm.classify(model, x) for x in X
+    ]
+    np.testing.assert_array_equal(dist.sum(axis=1), np.ones(23))
+    unblocked = svm.kernel_matrix(kernel, X, model.support_vectors) @ (
+        model.coefficients * model.labels) + model.bias
+    np.testing.assert_allclose(svm.decision_values(model, X), unblocked, rtol=1e-12)
+    assert svm.predict_proba(model, X[:0]).shape == (0, 2)
+
+
 def test_larger_c_never_hurts_separable_training_error():
     rng = np.random.default_rng(21)
     data = toy_dataset(
