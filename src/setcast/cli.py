@@ -16,8 +16,6 @@ at a different directory.
 from __future__ import annotations
 
 import argparse
-import csv
-import math
 import os
 import sys
 from importlib import resources
@@ -159,42 +157,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_sample_matrix(path) -> np.ndarray:
-    """Feature rows of a sample CSV; the label column is optional and
-    ignored.  Every row must have the header's length and finite features.
-    An empty (header-only) file yields a (0, d) matrix."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataFormatError(f"{path}: missing header")
-        header = [h.strip() for h in header]
-        if header not in (list(ds.ATTRIBUTE_NAMES),
-                          list(ds.ATTRIBUTE_NAMES) + [ds.LABEL_COLUMN]):
-            raise DataFormatError(f"{path}: unrecognized sample header")
-        width = len(ds.ATTRIBUTE_NAMES)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}:{lineno}: {len(row)} values, header has {len(header)}"
-                )
-            try:
-                values = [float(v) for v in row[:width]]
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-            if not all(map(math.isfinite, values)):
-                raise DataFormatError(f"{path}:{lineno}: non-finite feature value")
-            rows.append(values)
-    return np.array(rows, dtype=float).reshape(len(rows), width)
-
-
 def _load_any_model(path):
     """The module that reads and applies a model file, and the model in it."""
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().strip()
+    first = ds.read_text(path).partition("\n")[0].strip()
     module = {"model = nb": naive_bayes, "model = svm": svm}.get(first)
     if module is None:
         raise DataFormatError(f"{path}: unreadable model file")
@@ -203,12 +168,14 @@ def _load_any_model(path):
 
 def cmd_predict(args) -> int:
     module, model = _load_any_model(args.model_file)
-    X = _load_sample_matrix(args.data if args.data else default_data_path())
+    X, _ = ds.read_csv(_data_path(args), ds.FEATURES)  # (0, 6) for a header-only file
     dist = module.predict_proba(model, X)
-    lines = ["PREDICTED," + ",".join(f"P_{c}" for c in model.class_labels)]
-    for i, row in zip(np.argmax(dist, axis=1), dist.tolist()):
-        lines.append(model.class_labels[i] + "," + ",".join(format(p, ".17g") for p in row))
-    _emit("\n".join(lines) + "\n", args.output)
+    labels = model.class_labels
+    row = "%s" + ",%.17g" * len(labels) + "\n"
+    _emit("PREDICTED," + ",".join(f"P_{c}" for c in labels) + "\n"
+          + "".join(row % (labels[i], *p)
+                    for i, p in zip(np.argmax(dist, axis=1).tolist(), dist.tolist())),
+          args.output)
     return 0
 
 

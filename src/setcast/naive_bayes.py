@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, KeyValueFile
 from .errors import DataFormatError, TrainingError
 
 #: Lower bound on any fitted standard deviation (percent units).
@@ -181,7 +181,8 @@ def train(
         else np.full(len(dataset.class_labels), 1.0 / len(dataset.class_labels))
     )
 
-    labels = np.array(dataset.labels, dtype=object)
+    labels = np.array(dataset.labels)
+    masks = [labels == c for c in dataset.class_labels]
     gaussians = {}
     tables = {}
     precisions = {}
@@ -192,8 +193,8 @@ def train(
         if kind == CATEGORICAL:
             overall_vals, overall_counts = np.unique(column, return_counts=True)
             overall = {float(v): int(c) for v, c in zip(overall_vals, overall_counts)}
-        for ci, c in enumerate(dataset.class_labels):
-            vals = column[labels == c]
+        for ci, mask in enumerate(masks):
+            vals = column[mask]
             if kind == CONTINUOUS:
                 if estimator == "rounded":
                     rounded = round_to_precision(vals, precisions[ai])
@@ -245,12 +246,20 @@ def predict_proba(model: NaiveBayesModel, X) -> np.ndarray:
         for ai, kind in enumerate(model.kinds):
             if kind == CONTINUOUS:
                 params = model.gaussians[(ci, ai)]
-                z = (X[:, ai] - params.mu) / params.sigma
-                column += -0.5 * z * z - math.log(math.sqrt(2.0 * math.pi) * params.sigma)
+                with np.errstate(over="ignore"):  # an overflow is reported below
+                    z = (X[:, ai] - params.mu) / params.sigma
+                    column += -0.5 * z * z - math.log(math.sqrt(2.0 * math.pi) * params.sigma)
             else:
                 table = model.tables[(ci, ai)]
                 column += [math.log(table.probability(float(v))) for v in X[:, ai]]
-    scores -= scores.max(axis=1, keepdims=True)
+    top = scores.max(axis=1, keepdims=True)
+    bad = np.flatnonzero(~np.isfinite(top))
+    if bad.size:  # every class's score overflowed to -inf, or a feature is NaN
+        raise DataFormatError(
+            f"sample {bad[0] + 1}: no finite posterior; a feature is NaN or too "
+            "large in magnitude for the Gaussian log-likelihood"
+        )
+    scores -= top
     weights = np.exp(scores)
     return weights / weights.sum(axis=1, keepdims=True)
 
@@ -295,46 +304,46 @@ def save_model(model: NaiveBayesModel, path) -> None:
 
 
 def load_model(path) -> NaiveBayesModel:
-    """Inverse of :func:`save_model`."""
-    entries = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition(" = ")
-            entries[key] = value
-    if entries.get("model") != "nb":
-        raise DataFormatError(f"{path}: not a naive Bayes model file")
-    class_labels = tuple(entries["classes"].split(","))
-    attribute_names = tuple(entries["attributes"].split(","))
-    kinds = tuple(entries["kinds"].split(","))
-    priors = np.array([float(entries[f"prior.{c}"]) for c in class_labels])
+    """Inverse of :func:`save_model`.  A missing, malformed, extra or
+    inconsistent entry raises DataFormatError."""
+    f = KeyValueFile(path, "nb", "a naive Bayes")
+    class_labels = tuple(f.text("classes").split(","))
+    attribute_names = tuple(f.text("attributes").split(","))
+    kinds = tuple(f.text("kinds").split(","))
+    if len(kinds) != len(attribute_names) or not set(kinds) <= {CONTINUOUS, CATEGORICAL}:
+        raise DataFormatError(f"{path}: one continuous or categorical kind per attribute")
+    estimator = f.choice("estimator", ("rounded", "plain"))
+    smoothing = f.choice("smoothing", ("add_one", "reciprocal_fallback"))
+    priors = np.array([f.number(f"prior.{c}") for c in class_labels])
     precisions = {}
     gaussians = {}
     tables = {}
-    smoothing = entries.get("smoothing", "add_one")
     for ai, a in enumerate(attribute_names):
-        if f"precision.{a}" in entries:
-            precisions[ai] = float(entries[f"precision.{a}"])
-        for ci, c in enumerate(class_labels):
-            if kinds[ai] == CONTINUOUS:
+        if kinds[ai] == CONTINUOUS:
+            if estimator == "rounded":
+                precisions[ai] = f.number(f"precision.{a}")
+            for ci, c in enumerate(class_labels):
                 gaussians[(ci, ai)] = GaussianParams(
-                    float(entries[f"gaussian.{c}.{a}.mu"]),
-                    float(entries[f"gaussian.{c}.{a}.sigma"]),
+                    f.number(f"gaussian.{c}.{a}.mu"), f.number(f"gaussian.{c}.{a}.sigma")
                 )
-            else:
-                prefix = f"table.{c}.{a}."
-                counts = {}
-                overall = {}
-                for key, value in entries.items():
-                    if key.startswith(prefix + "count."):
-                        counts[float(key[len(prefix) + 6:])] = int(value)
-                    elif key.startswith(prefix + "overall."):
-                        overall[float(key[len(prefix) + 8:])] = int(value)
-                tables[(ci, ai)] = CategoricalTable(
-                    counts, int(entries[prefix + "total"]), overall, smoothing
-                )
+            continue
+        merged = {}  # category counts over every class: each table's ``overall``
+        for ci, c in enumerate(class_labels):
+            key = f"table.{c}.{a}"
+            total = f.integer(f"{key}.total")
+            counts, overall = (
+                {f.convert(key, v, float): f.convert(key, n, int)
+                 for v, n in f.take_prefix(f"{key}.{part}.").items()}
+                for part in ("count", "overall")
+            )
+            if sum(counts.values()) != total:
+                raise DataFormatError(f"{path}: {key} counts do not sum to its total")
+            for v, n in counts.items():
+                merged[v] = merged.get(v, 0) + n
+            tables[(ci, ai)] = CategoricalTable(counts, total, overall, smoothing)
+        if any(tables[(ci, ai)].overall != merged for ci in range(len(class_labels))):
+            raise DataFormatError(f"{path}: overall counts of {a} disagree with its class counts")
+    f.finish()
     return NaiveBayesModel(
         class_labels,
         priors,
@@ -343,6 +352,6 @@ def load_model(path) -> NaiveBayesModel:
         gaussians,
         tables,
         precisions,
-        entries.get("estimator", "rounded"),
+        estimator,
         smoothing,
     )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CLASS_LABELS, DOWN, UP, Dataset
+from .dataset import CLASS_LABELS, DOWN, UP, Dataset, KeyValueFile
 from .errors import DataFormatError, TrainingError
 
 LINEAR = "linear"
@@ -225,6 +225,10 @@ def train_smo(dataset: Dataset, kernel: KernelSpec, config: TrainerConfig) -> Sv
             aj_new = 0.0
         elif aj_new > C - snap:
             aj_new = C
+        if ai_new == ai_old and aj_new == aj_old:
+            # snapped back: a no-op step leaves a, g and both index sets as
+            # they were, so every later iteration would repeat it
+            break
         np.multiply(K[i], (ai_new - ai_old) * yi, out=step_i)
         np.multiply(K[j], (aj_new - aj_old) * yj, out=step_j)
         step_i += step_j
@@ -381,40 +385,35 @@ def save_model(model: SvmModel, path) -> None:
 
 
 def load_model(path) -> SvmModel:
-    """Inverse of :func:`save_model`."""
-    entries = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition(" = ")
-            entries[key] = value
-    if entries.get("model") != "svm":
-        raise DataFormatError(f"{path}: not an SVM model file")
-    kind = entries["kernel"]
+    """Inverse of :func:`save_model`.  A missing, malformed or extra entry
+    raises DataFormatError."""
+    f = KeyValueFile(path, "svm", "an SVM")
+    kind = f.text("kernel")
     kernel = KernelSpec(
         kind,
-        degree=int(entries["degree"]) if kind == POLY else None,
-        delta_sq=float(entries["delta_sq"]) if kind == RBF else None,
+        degree=f.integer("degree") if kind == POLY else None,
+        delta_sq=f.number("delta_sq") if kind == RBF else None,
     )
-    m = int(entries["n_support"])
-    coefficients = np.array([float(entries[f"sv.{i}.alpha"]) for i in range(m)])
-    labels = np.array([float(entries[f"sv.{i}.label"]) for i in range(m)])
-    vectors = (
-        np.array(
-            [[float(t) for t in entries[f"sv.{i}.x"].split(",")] for i in range(m)]
-        )
-        if m
-        else np.zeros((0, 0))
-    )
+    C, bias = f.number("C"), f.number("bias")
+    converged = f.choice("converged", ("true", "false")) == "true"
+    kkt_violation = f.number("kkt_violation")
+    m = f.integer("n_support")
+    coefficients = np.array([f.number(f"sv.{i}.alpha") for i in range(m)])
+    labels = np.array([float(f.choice(f"sv.{i}.label", ("1", "-1"))) for i in range(m)])
+    vectors = [
+        [f.convert(f"sv.{i}.x", t, float) for t in f.text(f"sv.{i}.x").split(",")]
+        for i in range(m)
+    ]
+    if len({len(v) for v in vectors}) > 1:
+        raise DataFormatError(f"{path}: support vectors differ in length")
+    f.finish()
     return SvmModel(
-        vectors,
+        np.array(vectors) if m else np.zeros((0, 0)),
         coefficients,
         labels,
-        float(entries["bias"]),
+        bias,
         kernel,
-        float(entries["C"]),
-        entries.get("converged", "true") == "true",
-        float(entries.get("kkt_violation", "nan")),
+        C,
+        converged,
+        kkt_violation,
     )

@@ -137,6 +137,20 @@ def test_predict_rejects_ragged_or_non_finite_rows(tmp_path, capsys, model, bad_
     assert captured.out == "" and f"{samples}:3:" in captured.err
 
 
+@pytest.mark.parametrize("model", ["nb", "svm"])
+def test_predict_row_beyond_gaussian_range(tmp_path, capsys, model):
+    model_path = tmp_path / f"{model}.model"
+    assert run("train", "--model", model, "--output", str(model_path)) == 0
+    samples = tmp_path / "huge.csv"
+    samples.write_text(",".join(ds.ATTRIBUTE_NAMES) + "\n1e200,0,0,0,0,0\n")
+    code = run("predict", "--model-file", str(model_path), "--data", str(samples))
+    captured = capsys.readouterr()
+    if model == "nb":  # no finite posterior: exit 2 naming the sample
+        assert code == 2 and captured.out == "" and "sample 1" in captured.err
+    else:  # a finite decision value, so a one-hot row
+        assert code == 0 and captured.out.splitlines()[1] in ("UP,1,0", "DOWN,0,1")
+
+
 def test_predict_unreadable_model_file(tmp_path):
     bogus = tmp_path / "bogus.model"
     bogus.write_text("something else entirely\n")

@@ -318,3 +318,16 @@ def test_load_rejects_other_files(tmp_path):
     path.write_text("model = svm\n")
     with pytest.raises(DataFormatError):
         nb.load_model(path)
+
+
+def test_overflowing_feature_raises_naming_the_sample(market_data):
+    # z * z overflows above ~1e154 in every class; the posterior used to be
+    # inf - inf = NaN
+    model = nb.train(market_data)
+    X = np.zeros((3, 6))
+    X[1, 0] = 1e200
+    with pytest.raises(DataFormatError, match="sample 2"):
+        nb.predict_proba(model, X)
+    with pytest.raises(DataFormatError, match="sample 1"):
+        nb.predict_distribution(model, X[1])
+    assert np.isfinite(nb.predict_proba(model, X[[0, 2]])).all()

@@ -419,3 +419,32 @@ def test_worst_violation_matches_reference():
     # every sample satisfied: the floor at zero
     assert svm._worst_violation(np.zeros(2), np.array([1.0, -1.0]),
                                 np.array([2.0, -2.0]), 1.0) == 0.0
+
+
+class _CountingNumpy:
+    """numpy as train_smo sees it, counting np.add calls: two per iteration."""
+
+    def __init__(self):
+        self.adds = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def add(self, *args, **kwargs):
+        self.adds += 1
+        return np.add(*args, **kwargs)
+
+
+@pytest.mark.parametrize("kernel", KERNELS[:2], ids=lambda k: k.kind)
+def test_snapped_back_step_ends_the_loop(kernel, monkeypatch):
+    # At feature scale 1e6 the first step snaps both alphas back to 0; the
+    # loop used to repeat that no-op for the whole budget of 100 * 30 steps.
+    data = _overlapping_problem(7, n=30, scale=1e6)
+    config = svm.TrainerConfig()
+    counting = _CountingNumpy()
+    monkeypatch.setattr(svm, "np", counting)
+    model = svm.train_smo(data, kernel, config)
+    monkeypatch.setattr(svm, "np", np)
+    assert counting.adds == 2
+    assert not model.converged
+    _assert_same_model(model, _reference_train_smo(data, kernel, config))
