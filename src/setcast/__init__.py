@@ -1,8 +1,8 @@
 """setcast: direction forecasting for the Stock Exchange of Thailand index.
 
-A small, fully deterministic toolkit pairing a Gaussian/categorical naive
-Bayes classifier with a kernel SVM trained by sequential minimal
-optimization, evaluated through stratified cross-validation with a complete
+A small, fully deterministic toolkit pairing a Gaussian naive Bayes
+classifier with a kernel SVM trained by sequential minimal optimization,
+evaluated through stratified cross-validation with a complete
 confusion-matrix metric suite.  The API lives in the modules: ``dataset``,
 ``naive_bayes``, ``svm``, ``evaluation`` and ``cli``.
 """

@@ -214,7 +214,13 @@ def _read_rows(path, text, fmt):
     """read_csv row by row, checking each row in file order."""
     import csv
 
-    reader = csv.reader(io.StringIO(text, newline=""))
+    def checked(reader):
+        try:
+            yield from reader
+        except csv.Error as exc:  # e.g. a cell beyond csv.field_size_limit()
+            raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
+
+    reader = checked(csv.reader(io.StringIO(text, newline="")))
     header = next(reader, None)
     if header is None:
         raise DataFormatError(f"{path}: {fmt.no_header or fmt.bad_header}")
@@ -246,7 +252,18 @@ def _read_rows(path, text, fmt):
 class KeyValueFile:
     """The ``key = value`` lines of a model file, read strictly: each key is
     taken once, and a missing or duplicate key, a malformed or non-finite
-    value, or a key left untaken raises DataFormatError."""
+    value, or a key left untaken raises DataFormatError.
+
+    A model file opens with ``model = <kind>`` and ``format = <FORMAT>``;
+    a file of any other format is rejected, not converted.
+    """
+
+    FORMAT = "1"
+
+    @staticmethod
+    def header(model: str) -> list:
+        """The first two lines of a ``model`` file: its kind and its format."""
+        return [f"model = {model}", f"format = {KeyValueFile.FORMAT}"]
 
     def __init__(self, path, model: str, what: str):
         self.path = path
@@ -259,6 +276,10 @@ class KeyValueFile:
                 self.entries[key] = value
         if self.entries.pop("model", None) != model:
             raise DataFormatError(f"{path}: not {what} model file")
+        found = self.entries.pop("format", None)
+        if found != self.FORMAT:
+            raise DataFormatError(f"{path}: expected model-file format {self.FORMAT}, "
+                                  f"found {'none' if found is None else repr(found)}")
 
     def text(self, key) -> str:
         try:
@@ -277,11 +298,6 @@ class KeyValueFile:
 
     def integer(self, key) -> int:
         return self.convert(key, self.text(key), int)
-
-    def take_prefix(self, prefix) -> dict:
-        """Every entry whose key starts with ``prefix``, keyed by the rest."""
-        keys = [key for key in self.entries if key.startswith(prefix)]
-        return {key[len(prefix):]: self.entries.pop(key) for key in keys}
 
     def convert(self, key, value: str, kind):
         """``value`` as a finite float or a non-negative int."""

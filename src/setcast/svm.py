@@ -157,12 +157,14 @@ def labels_to_pm1(labels) -> np.ndarray:
     return np.where(np.asarray(labels, dtype=object) == UP, 1.0, -1.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises instead
 def train_smo(dataset: Dataset, kernel: KernelSpec, config: TrainerConfig) -> SvmModel:
     """Solve the dual problem on a two-class dataset.
 
     Raises TrainingError when only one class is present or fewer than two
-    samples exist.  On hitting the pass budget the best iterate is returned
-    with ``converged=False`` rather than failing.
+    samples exist, and DataFormatError when the kernel matrix or the fitted
+    decision values are not finite.  On hitting the pass budget the best
+    iterate is returned with ``converged=False`` rather than failing.
     """
     n = len(dataset)
     if n < 2:
@@ -173,6 +175,7 @@ def train_smo(dataset: Dataset, kernel: KernelSpec, config: TrainerConfig) -> Sv
     X = dataset.features
     y = labels_to_pm1(dataset.labels)
     K = kernel_matrix(kernel, X, X)  # bitwise symmetric: row K[i] is column i
+    _require_finite(K, dataset, kernel)
     diag = K.diagonal()
     C, tol = config.C, config.kkt_tol
 
@@ -243,8 +246,21 @@ def train_smo(dataset: Dataset, kernel: KernelSpec, config: TrainerConfig) -> Sv
     _repair_equality(alpha, y, C)
     g = K @ (alpha * y)
     b = _fit_bias(alpha, y, g, C)
-    worst = _worst_violation(alpha, y, g + b, C)
+    f = g + b
+    _require_finite(f, dataset, kernel)
+    worst = _worst_violation(alpha, y, f, C)
     return _package(X, alpha, y, b, kernel, C, converged and worst <= tol, worst)
+
+
+def _require_finite(values, dataset, kernel):
+    """Raise DataFormatError, naming the attribute of largest magnitude,
+    unless every value is finite."""
+    if not np.isfinite(values).all():
+        ai = int(np.abs(dataset.features).max(axis=0).argmax())
+        raise DataFormatError(
+            f"attribute {dataset.attribute_names[ai]}: the {kernel.describe()} SVM fit is "
+            "not finite; a feature value is too large in magnitude"
+        )
 
 
 def _index_sets(alpha, y, C):
@@ -302,7 +318,7 @@ def _worst_violation(alpha, y, f, C):
     violation = np.select(
         [alpha <= 0, alpha >= C], [1.0 - yf, yf - 1.0], np.abs(yf - 1.0)
     )
-    return max(0.0, float(violation.max()))
+    return float(violation.max(initial=0.0))  # NaN stays NaN
 
 
 def _package(X, alpha, y, b, kernel, C, converged, worst):
@@ -359,10 +375,7 @@ def classify(model: SvmModel, x) -> str:
 
 def save_model(model: SvmModel, path) -> None:
     """Serialize as flat ``key = value`` text, round-trip safe to 17 digits."""
-    lines = [
-        "model = svm",
-        f"kernel = {model.kernel.kind}",
-    ]
+    lines = KeyValueFile.header("svm") + [f"kernel = {model.kernel.kind}"]
     if model.kernel.degree is not None:
         lines.append(f"degree = {model.kernel.degree}")
     if model.kernel.delta_sq is not None:

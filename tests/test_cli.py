@@ -151,6 +151,30 @@ def test_predict_row_beyond_gaussian_range(tmp_path, capsys, model):
         assert code == 0 and captured.out.splitlines()[1] in ("UP,1,0", "DOWN,0,1")
 
 
+@pytest.mark.parametrize("value", ["1e200", "-1e200"])
+@pytest.mark.parametrize("argv", [
+    ("train", "--model", "nb"),
+    ("train", "--model", "svm", "--kernel", "linear"),
+    ("train", "--model", "svm", "--kernel", "poly"),
+    ("train", "--model", "svm", "--kernel", "rbf"),
+    ("cv", "--model", "nb"),
+    ("cv", "--model", "svm"),
+    ("compare",),
+], ids=["train-nb", "train-linear", "train-poly", "train-rbf", "cv-nb", "cv-svm", "compare"])
+def test_training_feature_beyond_float_range_exits_2(tmp_path, capsys, argv, value):
+    rng = np.random.default_rng(3)
+    rows = [[f"{v:.6f}" for v in x] + [("UP", "DOWN")[i % 2]]
+            for i, x in enumerate(rng.normal(size=(20, 6)))]
+    rows[0][3] = value  # USDTHB
+    samples = tmp_path / "huge.csv"
+    samples.write_text(",".join(ds.ATTRIBUTE_NAMES + (ds.LABEL_COLUMN,)) + "\n"
+                       + "".join(",".join(row) + "\n" for row in rows))
+    assert run(*argv, "--data", str(samples), "--output", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "attribute USDTHB" in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
 def test_predict_unreadable_model_file(tmp_path):
     bogus = tmp_path / "bogus.model"
     bogus.write_text("something else entirely\n")

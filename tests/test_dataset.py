@@ -523,6 +523,14 @@ def test_decode_error_is_data_format_error(tmp_path):
         ds.load_samples(path)
 
 
+def test_cell_beyond_csv_field_limit_is_data_format_error(tmp_path):
+    path = tmp_path / "wide.csv"
+    cell = '"' + "1" * (csv.field_size_limit() + 1) + '"'
+    path.write_text(f"{_S}\n1,2,3,4,5,6,UP\n1,2,3,4,5,6,{cell}\n")
+    with pytest.raises(DataFormatError, match=f"{path}:3: field larger than field limit"):
+        ds.load_samples(path)
+
+
 def test_save_samples_matches_csv_writer(market_data, tmp_path):
     rng = np.random.default_rng(4)
     odd = ds.Dataset(np.vstack([rng.normal(size=(5, 6)) * 10.0 ** rng.integers(-320, 300, size=(5, 6)),

@@ -1,13 +1,11 @@
 """Strict model files: a model file with a line deleted or a value corrupted
 either loads into an equal model or raises DataFormatError, and `predict`
 exits 0 with the original output or 2, never with a traceback."""
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setcast import cli
-from setcast import dataset as ds
 from setcast import naive_bayes as nb
 from setcast import svm
 from setcast.errors import DataFormatError
@@ -18,13 +16,9 @@ BAD_VALUES = ["", "x", "nan", "inf", "-inf", "1e999", "1,x", "0x1p3", "--1", "tr
 @pytest.fixture(scope="module")
 def saved_models(market_data, tmp_path_factory):
     """(module, file text, predict exit code and output) for NB and SVM models."""
-    rounded = ds.Dataset(np.round(market_data.features), market_data.labels)
-    cat, cont = nb.CATEGORICAL, nb.CONTINUOUS
     models = [
         (nb, nb.train(market_data)),
         (nb, nb.train(market_data, estimator="plain", priors="uniform")),
-        (nb, nb.train(rounded, kinds=(cat, cont, cat, cont, cont, cat),
-                      smoothing="reciprocal_fallback")),
     ] + [
         (svm, svm.train_smo(market_data, kernel, svm.TrainerConfig()))
         for kernel in (svm.linear_kernel(), svm.polynomial_kernel(2), svm.rbf_kernel(1.0))
@@ -96,12 +90,6 @@ def test_unknown_duplicate_or_inconsistent_entries_are_rejected(saved_models, tm
             path.write_text(edited)
             with pytest.raises(DataFormatError, match="unexpected key|duplicate key"):
                 module.load_model(path)
-    # a categorical table whose counts no longer add up to its total
-    _, text, _ = saved_models[2]
-    key = next(line for line in text.splitlines() if line.endswith(".total = 16"))
-    path.write_text(text.replace(key, key[:-2] + "17"))
-    with pytest.raises(DataFormatError, match="do not sum to its total"):
-        nb.load_model(path)
 
 
 def test_undecodable_model_file_exits_2(tmp_path, capsys):
@@ -111,3 +99,42 @@ def test_undecodable_model_file_exits_2(tmp_path, capsys):
         nb.load_model(path)
     assert cli.main(["predict", "--model-file", str(path)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+UNVERSIONED_NB = """model = nb
+classes = UP,DOWN
+attributes = NK
+kinds = continuous
+estimator = plain
+smoothing = add_one
+prior.UP = 0.5
+prior.DOWN = 0.5
+gaussian.UP.NK.mu = 0
+gaussian.UP.NK.sigma = 1
+gaussian.DOWN.NK.mu = 1
+gaussian.DOWN.NK.sigma = 1
+"""
+
+
+@pytest.mark.parametrize("edit", ["missing", "0", "2", "unversioned"])
+@pytest.mark.parametrize("kind", ["nb", "svm"])
+def test_other_model_file_formats_exit_2_naming_the_format(saved_models, kind, edit, tmp_path,
+                                                           capsys):
+    module, text, _ = next(m for m in saved_models if m[1].startswith(f"model = {kind}\n"))
+    assert text.splitlines()[1] == "format = 1"
+    if edit == "unversioned":
+        # the layout before format 1: no format line, and NB kinds/smoothing lines
+        edited = UNVERSIONED_NB if kind == "nb" else text.replace("format = 1\n", "")
+    elif edit == "missing":
+        edited = text.replace("format = 1\n", "")
+    else:
+        edited = text.replace("format = 1\n", f"format = {edit}\n")
+    path = tmp_path / "other.model"
+    path.write_text(edited)
+    found = f"'{edit}'" if edit in ("0", "2") else "none"
+    message = f"expected model-file format 1, found {found}"
+    with pytest.raises(DataFormatError, match=message):
+        module.load_model(path)
+    assert cli.main(["predict", "--model-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err

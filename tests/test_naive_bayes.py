@@ -124,51 +124,6 @@ def test_plain_estimator_degenerate_class():
         assert params.mu == data.features[0 if ci == 0 else 3, ai]
 
 
-# ------------------------------------------------------------------- categorical
-def _categorical_data():
-    # UP: attribute values 1,1,1,2; DOWN: 2,2,3,3 (kinds: one categorical attr)
-    return toy_dataset([[1], [1], [1], [2]], [[2], [2], [3], [3]])
-
-
-def test_add_one_smoothing():
-    model = nb.train(_categorical_data(), kinds=(nb.CATEGORICAL,))
-    # 3 of 4 UP samples have value 1, two seen categories -> (3+1)/(4+2)
-    assert nb.categorical_likelihood(model, ds.UP, "x0", 1.0) == pytest.approx(2 / 3)
-    # value 3 unseen in UP -> 1/(4+2)
-    assert nb.categorical_likelihood(model, ds.UP, "x0", 3.0) == pytest.approx(1 / 6)
-
-
-def test_reciprocal_fallback_smoothing():
-    model = nb.train(
-        _categorical_data(), kinds=(nb.CATEGORICAL,), smoothing="reciprocal_fallback"
-    )
-    # seen: raw frequency ratio
-    assert nb.categorical_likelihood(model, ds.UP, "x0", 1.0) == pytest.approx(3 / 4)
-    # unseen in class, 2 occurrences overall -> 1/2
-    assert nb.categorical_likelihood(model, ds.UP, "x0", 3.0) == pytest.approx(1 / 2)
-    # absent from training entirely -> one phantom occurrence in n+1
-    assert nb.categorical_likelihood(model, ds.UP, "x0", 9.0) == pytest.approx(1 / 9)
-
-
-def test_categorical_likelihood_errors():
-    model = nb.train(_categorical_data(), kinds=(nb.CATEGORICAL,))
-    with pytest.raises(DataFormatError):
-        nb.categorical_likelihood(model, ds.UP, "bogus", 1.0)
-    continuous = nb.train(_categorical_data())
-    with pytest.raises(DataFormatError):
-        nb.categorical_likelihood(continuous, ds.UP, "x0", 1.0)
-
-
-def test_categorical_probabilities_strictly_positive():
-    for smoothing in ("add_one", "reciprocal_fallback"):
-        model = nb.train(
-            _categorical_data(), kinds=(nb.CATEGORICAL,), smoothing=smoothing
-        )
-        for value in (1.0, 2.0, 3.0, 99.0):
-            for label in ds.CLASS_LABELS:
-                assert nb.categorical_likelihood(model, label, "x0", value) > 0
-
-
 # ---------------------------------------------------------- predict_distribution
 def test_symmetric_posterior():
     data = toy_dataset([[-2.0], [-1.0]], [[1.0], [2.0]])
@@ -206,29 +161,24 @@ def _per_row_reference(model, x):
     then each attribute's log-likelihood added in attribute order."""
     scores = np.log(model.priors).copy()
     for ci in range(len(model.class_labels)):
-        for ai, kind in enumerate(model.kinds):
-            if kind == nb.CONTINUOUS:
-                params = model.gaussians[(ci, ai)]
-                z = (float(x[ai]) - params.mu) / params.sigma
-                scores[ci] += -0.5 * z * z - math.log(math.sqrt(2.0 * math.pi) * params.sigma)
-            else:
-                scores[ci] += math.log(model.tables[(ci, ai)].probability(float(x[ai])))
+        for ai in range(model.n_attributes()):
+            params = model.gaussians[(ci, ai)]
+            z = (float(x[ai]) - params.mu) / params.sigma
+            scores[ci] += -0.5 * z * z - math.log(math.sqrt(2.0 * math.pi) * params.sigma)
     scores -= scores.max()
     weights = np.exp(scores)
     return weights / weights.sum()
 
 
-@pytest.mark.parametrize("kinds, options", [
-    ((nb.CONTINUOUS,) * 3, {"estimator": "rounded"}),
-    ((nb.CONTINUOUS,) * 3, {"estimator": "plain"}),
-    ((nb.CATEGORICAL, nb.CONTINUOUS, nb.CATEGORICAL), {"smoothing": "add_one"}),
-    ((nb.CATEGORICAL, nb.CONTINUOUS, nb.CATEGORICAL), {"smoothing": "reciprocal_fallback"}),
-], ids=["rounded", "plain", "categorical-add-one", "categorical-reciprocal"])
-def test_predict_proba_rows_equal_one_row_posteriors(kinds, options):
+@pytest.mark.parametrize("options", [
+    {"estimator": "rounded"},
+    {"estimator": "plain"},
+], ids=["rounded", "plain"])
+def test_predict_proba_rows_equal_one_row_posteriors(options):
     rng = np.random.default_rng(11)
-    train_rows = np.round(rng.normal(size=(40, 3)) * 2)  # few distinct categories
+    train_rows = np.round(rng.normal(size=(40, 3)) * 2)  # few distinct values
     data = toy_dataset(train_rows[:22], train_rows[22:] + 1.0)
-    model = nb.train(data, kinds=kinds, **options)
+    model = nb.train(data, **options)
     X = np.vstack([np.round(rng.normal(size=(200, 3)) * 3),
                    [[1e6, -1e6, 1e6], [-1e150, 1e150, 0.0], [99.0, 1e-300, -99.0]]])
     batch = nb.predict_proba(model, X)
@@ -286,7 +236,6 @@ def test_model_round_trip(market_data, tmp_path):
     nb.save_model(model, path)
     again = nb.load_model(path)
     assert again.class_labels == model.class_labels
-    assert again.kinds == model.kinds
     assert again.estimator == model.estimator
     np.testing.assert_array_equal(again.priors, model.priors)
     for key, params in model.gaussians.items():
@@ -297,20 +246,6 @@ def test_model_round_trip(market_data, tmp_path):
         np.testing.assert_array_equal(
             nb.predict_distribution(model, x), nb.predict_distribution(again, x)
         )
-
-
-def test_categorical_model_round_trip(tmp_path):
-    model = nb.train(
-        _categorical_data(), kinds=(nb.CATEGORICAL,), smoothing="reciprocal_fallback"
-    )
-    path = tmp_path / "cat.model"
-    nb.save_model(model, path)
-    again = nb.load_model(path)
-    for value in (1.0, 2.0, 3.0, 9.0):
-        for label in ds.CLASS_LABELS:
-            assert nb.categorical_likelihood(
-                again, label, "x0", value
-            ) == nb.categorical_likelihood(model, label, "x0", value)
 
 
 def test_load_rejects_other_files(tmp_path):
@@ -331,3 +266,13 @@ def test_overflowing_feature_raises_naming_the_sample(market_data):
     with pytest.raises(DataFormatError, match="sample 1"):
         nb.predict_distribution(model, X[1])
     assert np.isfinite(nb.predict_proba(model, X[[0, 2]])).all()
+
+
+@pytest.mark.parametrize("value", [1e200, -1e200])
+@pytest.mark.parametrize("estimator", ["rounded", "plain"])
+def test_overflowing_training_feature_names_attribute_and_class(market_data, estimator, value):
+    X = market_data.features.copy()
+    X[0, 2] = value  # a SET change in an UP row
+    data = ds.Dataset(X, market_data.labels)
+    with pytest.raises(DataFormatError, match="attribute SET, class UP"):
+        nb.train(data, estimator=estimator)

@@ -421,6 +421,13 @@ def test_worst_violation_matches_reference():
                                 np.array([2.0, -2.0]), 1.0) == 0.0
 
 
+def test_worst_violation_keeps_nan():
+    # max(0.0, nan) is 0.0, which read a NaN decision value as a perfect fit
+    got = svm._worst_violation(np.zeros(2), np.array([1.0, -1.0]),
+                               np.array([np.nan, -2.0]), 1.0)
+    assert np.isnan(got)
+
+
 class _CountingNumpy:
     """numpy as train_smo sees it, counting np.add calls: two per iteration."""
 
