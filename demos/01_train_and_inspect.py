@@ -4,8 +4,6 @@ Shows the class priors, the per-attribute Gaussian parameters the model
 estimated for each class, and a few classified samples with their posterior
 distributions.
 """
-import numpy as np
-
 from setcast import cli
 from setcast import dataset as ds
 from setcast import naive_bayes as nb
@@ -27,15 +25,14 @@ for ai, attr in enumerate(ds.ATTRIBUTE_NAMES):
         cells.append(f"({g.mu:8.4f}, {g.sigma:7.4f})")
     print(f"{attr:>10s}" + "".join(f"{c:>22s}" for c in cells))
 
+dists = nb.predict_proba(model, data.features)  # one row per sample
+predicted = [ds.CLASS_LABELS[i] for i in dists.argmax(axis=1)]
 print("\nsample classifications (first five rows):")
-for x, actual in list(zip(data.features, data.labels))[:5]:
-    dist = nb.predict_distribution(model, x)
-    label = nb.classify(model, x)
+for dist, label, actual in list(zip(dists, predicted, data.labels))[:5]:
     flag = "ok " if label == actual else "MISS"
     print(f"  {flag}  predicted {label:>4s} (actual {actual:>4s})  "
           f"P(UP) = {dist[0]:.4f}  P(DOWN) = {dist[1]:.4f}")
 
-correct = sum(nb.classify(model, x) == lab
-              for x, lab in zip(data.features, data.labels))
+correct = sum(label == actual for label, actual in zip(predicted, data.labels))
 print(f"\nresubstitution accuracy: {correct}/{len(data)} "
       f"= {100 * correct / len(data):.1f}%")

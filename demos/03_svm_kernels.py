@@ -19,10 +19,8 @@ KERNELS = (
 
 
 def training_accuracy(model, data):
-    return float(np.mean([
-        svm.classify(model, x) == label
-        for x, label in zip(data.features, data.labels)
-    ]))
+    up = svm.decision_values(model, data.features) > 0  # zero counts as DOWN
+    return float(np.mean(up == (np.array(data.labels) == ds.UP)))
 
 
 xor = ds.Dataset(

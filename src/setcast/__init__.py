@@ -6,7 +6,7 @@ evaluated through stratified cross-validation with a complete
 confusion-matrix metric suite.  The API lives in the modules: ``dataset``,
 ``naive_bayes``, ``svm``, ``evaluation`` and ``cli``.
 """
-from . import cli, dataset, evaluation, naive_bayes, svm
+from . import dataset, evaluation, naive_bayes, svm
 from .errors import DataFormatError, TrainingError
 
 __version__ = "0.1.0"

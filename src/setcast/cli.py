@@ -105,8 +105,8 @@ def _emit(text: str, output) -> None:
         sys.stdout.write(text)
 
 
-def _make_learner(args):
-    if args.model == "nb":
+def _make_learner(args, kind):
+    if kind == "nb":
         return evaluation.NaiveBayesLearner(priors=args.priors)
     return evaluation.SvmLearner(_kernel_from_args(args), _config_from_args(args))
 
@@ -170,7 +170,7 @@ def cmd_predict(args) -> int:
     module, model = _load_any_model(args.model_file)
     X, _ = ds.read_csv(_data_path(args), ds.FEATURES)  # (0, 6) for a header-only file
     dist = module.predict_proba(model, X)
-    labels = model.class_labels
+    labels = ds.CLASS_LABELS
     row = "%s" + ",%.17g" * len(labels) + "\n"
     _emit("PREDICTED," + ",".join(f"P_{c}" for c in labels) + "\n"
           + "".join(row % (labels[i], *p)
@@ -181,7 +181,7 @@ def cmd_predict(args) -> int:
 
 def cmd_cv(args) -> int:
     data = ds.load_samples(_data_path(args))
-    learner = _make_learner(args)
+    learner = _make_learner(args, args.model)
     report, _ = evaluation.cross_validate(data, learner, args.folds, args.seed)
     if args.format == "machine":
         header = _config_lines(args, model=learner.describe())
@@ -206,17 +206,9 @@ _COMPARE_ROWS = (
 
 def cmd_compare(args) -> int:
     data = ds.load_samples(_data_path(args))
-    if any(count == 0 for count in data.class_counts().values()):
-        raise DataFormatError("both classes must be present to compare models")
-    nb_learner = evaluation.NaiveBayesLearner(priors=args.priors)
-    svm_learner = evaluation.SvmLearner(_kernel_from_args(args),
-                                        _config_from_args(args))
-    nb_report, nb_folds = evaluation.cross_validate(
-        data, nb_learner, args.folds, args.seed
-    )
-    svm_report, svm_folds = evaluation.cross_validate(
-        data, svm_learner, args.folds, args.seed
-    )
+    (nb_report, nb_folds), (svm_report, svm_folds) = (
+        evaluation.cross_validate(data, _make_learner(args, kind), args.folds, args.seed)
+        for kind in ("nb", "svm"))
     if nb_folds.digest() != svm_folds.digest():
         raise AssertionError("fold assignments diverged between models")
 

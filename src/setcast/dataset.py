@@ -35,13 +35,12 @@ class Dataset:
     """Ordered collection of labeled samples.
 
     ``features`` has shape (n, d); ``labels`` is a length-n tuple of class
-    names drawn from ``class_labels``.
+    names drawn from CLASS_LABELS.
     """
 
     features: np.ndarray
     labels: tuple
     attribute_names: tuple = ATTRIBUTE_NAMES
-    class_labels: tuple = CLASS_LABELS
 
     def __post_init__(self):
         object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
@@ -49,26 +48,22 @@ class Dataset:
             raise DataFormatError("features must be (n, d) with one label per row")
         if not np.isfinite(self.features).all():
             raise DataFormatError("all feature values must be finite")
-        unknown = set(self.labels) - set(self.class_labels)
+        unknown = set(self.labels) - set(CLASS_LABELS)
         if unknown:
-            raise DataFormatError(f"labels outside class_labels: {sorted(unknown)}")
+            raise DataFormatError(f"labels outside {CLASS_LABELS}: {sorted(unknown)}")
 
     def __len__(self):
         return self.features.shape[0]
 
     def class_counts(self):
-        """Per-class sample counts, in class_labels order."""
-        return {c: self.labels.count(c) for c in self.class_labels}
+        """Per-class sample counts, in CLASS_LABELS order."""
+        return {c: self.labels.count(c) for c in CLASS_LABELS}
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=int)
         labels = self.labels
-        return Dataset(
-            self.features[idx],
-            tuple([labels[i] for i in idx.tolist()]),
-            self.attribute_names,
-            self.class_labels,
-        )
+        return Dataset(self.features[idx], tuple([labels[i] for i in idx.tolist()]),
+                       self.attribute_names)
 
 
 @dataclass(frozen=True)
@@ -139,9 +134,9 @@ class CsvFormat:
 
 _SAMPLE_HEADER = ATTRIBUTE_NAMES + (LABEL_COLUMN,)
 _RAW_HEADER = ("DATE",) + RAW_COLUMNS
-#: Labeled samples: six features and an UP/DOWN label per row.
+#: Labeled samples: six finite features and an UP/DOWN label per row.
 SAMPLES = CsvFormat((_SAMPLE_HEADER,), 0, 6, "label", f"expected header {','.join(_SAMPLE_HEADER)}",
-                    "expected {want} columns, got {got}")
+                    "expected {want} columns, got {got}", finite=True)
 #: Raw daily prices: a date and seven prices per row, blank when missing.
 RAW = CsvFormat((_RAW_HEADER,), 1, 7, "date", f"expected header {','.join(_RAW_HEADER)}",
                 "expected {want} columns, got {got}", blank_nan=True)
@@ -344,11 +339,14 @@ def load_raw_series(path) -> RawSeries:
 def build_training_table(series: RawSeries) -> Dataset:
     """Convert raw daily prices into labeled percent-change samples.
 
-    Days with any missing value are dropped first.  Each remaining run of
-    three consecutive days (t-2, t-1, t) yields one sample: the features are
-    the t-2 -> t-1 percentage changes of the six input series and the label is
-    the direction of day t's SET session (open vs. close).
+    Every date, of complete days and incomplete ones alike, must be a
+    YYYY-MM-DD day later than the date before it.  Days with any missing
+    value are then dropped.  Each remaining run of three consecutive days
+    (t-2, t-1, t) yields one sample: the features are the t-2 -> t-1
+    percentage changes of the six input series and the label is the
+    direction of day t's SET session (open vs. close).
     """
+    _require_increasing_days(series.dates)
     keep = np.flatnonzero(np.isfinite(series.values).all(axis=1))
     if len(keep) < 3:
         raise DataFormatError("need at least 3 complete days to build samples")
@@ -363,8 +361,35 @@ def build_training_table(series: RawSeries) -> Dataset:
         for c in range(len(feature_cols)):
             percent_change(prev[t, c], curr[t, c])
         label_direction(open_[t], close[t])
-    features = 100.0 * (curr - prev) / prev
+    with np.errstate(over="ignore"):  # a non-finite change is reported below
+        features = 100.0 * (curr - prev) / prev
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise DataFormatError(f"{series.dates[keep[bad[0] + 1]]}: a percent change "
+                              "is too large in magnitude for a float")
     return Dataset(features, tuple(np.where(close > open_, UP, DOWN).tolist()))
+
+
+def _require_increasing_days(dates) -> None:
+    """Raise DataFormatError naming the first date that is not an exact
+    YYYY-MM-DD day after the date before it."""
+    text = np.array(dates, dtype=str)
+    try:
+        days = text.astype("datetime64[D]")
+        if (not np.isnat(days).any() and (np.datetime_as_string(days) == text).all()
+                and (np.diff(days) > np.timedelta64(0)).all()):
+            return
+    except ValueError:  # a date does not parse; the loop below names it
+        pass
+    for t, date in enumerate(dates):
+        try:
+            day = np.datetime64(date, "D")
+        except ValueError:
+            day = np.datetime64("NaT")
+        if np.isnat(day) or str(day) != date or t and not day > np.datetime64(dates[t - 1]):
+            after = f" after {dates[t - 1]!r}" if t else ""
+            raise DataFormatError(f"date {date!r}{after}: dates must be YYYY-MM-DD days "
+                                  "in increasing order")
 
 
 def stratified_folds(dataset: Dataset, k: int, seed: int) -> FoldAssignment:
@@ -385,7 +410,7 @@ def stratified_folds(dataset: Dataset, k: int, seed: int) -> FoldAssignment:
     labels = np.array(dataset.labels)
     assignment = np.empty(n, dtype=int)
     pointer = 0
-    for c in dataset.class_labels:
+    for c in CLASS_LABELS:
         idx = np.flatnonzero(labels == c)
         rng.shuffle(idx)
         assignment[idx] = (pointer + np.arange(len(idx))) % k

@@ -29,6 +29,9 @@ from .errors import DataFormatError
 
 DIST_TOL = 1e-9
 
+#: The fields of PerClassMetrics after its label, in report order.
+METRICS = ("tp_rate", "fp_rate", "precision", "recall", "f_measure", "roc_area")
+
 
 @dataclass(frozen=True)
 class PerClassMetrics:
@@ -43,7 +46,9 @@ class PerClassMetrics:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    class_labels: tuple
+    """Metrics of pooled predictions; per-class rows and the confusion matrix
+    follow CLASS_LABELS."""
+
     n: int
     correct: int
     accuracy: float
@@ -65,11 +70,12 @@ class EvaluationReport:
         return self.n - self.correct
 
 
-def _checked(actual_idx, dist, k: int):
+def _checked(actual_idx, dist):
     """Validate one prediction per row: the actual class index and a
-    distribution over k classes.  Returns both as arrays."""
+    distribution over CLASS_LABELS.  Returns both as arrays."""
     actual_idx = np.asarray(actual_idx)
     dist = np.asarray(dist, dtype=float)
+    k = len(CLASS_LABELS)
     if dist.ndim != 2 or dist.shape[1] != k or actual_idx.shape != dist.shape[:1]:
         raise DataFormatError("distribution length must match class count")
     if len(dist) == 0:
@@ -128,7 +134,7 @@ def absolute_errors(actual_idx, dist):
 
 def relative_errors(actual_idx, dist, baseline):
     """(RAE %, RRSE %) against per-row baseline distributions."""
-    actual_idx, baseline = _checked(actual_idx, baseline, np.shape(dist)[1])
+    actual_idx, baseline = _checked(actual_idx, baseline)
     mae, rmse = absolute_errors(actual_idx, dist)
     base_mae, base_rmse = absolute_errors(actual_idx, baseline)
     if base_mae == 0 or base_rmse == 0:
@@ -154,17 +160,15 @@ def roc_area(actual_idx, dist, class_index: int) -> float:
     return float((wins + 0.5 * ties) / (pos.size * neg.size))
 
 
-def evaluate(
-    actual_idx, dist, baseline=None, *, class_labels=CLASS_LABELS, fold_digest=None
-) -> EvaluationReport:
+def evaluate(actual_idx, dist, baseline=None, *, fold_digest=None) -> EvaluationReport:
     """Build the full report from pooled predictions.
 
     ``actual_idx`` (n,) holds each row's actual class as an index into
-    ``class_labels``; ``dist`` (n, k) the predicted distributions, and
-    ``baseline`` (n, k), when given, the baseline predictor's distributions
+    CLASS_LABELS; ``dist`` (n, 2) the predicted distributions, and
+    ``baseline`` (n, 2), when given, the baseline predictor's distributions
     for the relative errors.  Malformed input raises DataFormatError.
     """
-    actual_idx, dist = _checked(actual_idx, dist, len(class_labels))
+    actual_idx, dist = _checked(actual_idx, dist)
     matrix = confusion_matrix(actual_idx, dist)
     n = int(matrix.sum())
     correct = int(np.trace(matrix))
@@ -179,7 +183,7 @@ def evaluate(
     warnings = []
     per_class = []
     supports = matrix.sum(axis=1)
-    for ci, label in enumerate(class_labels):
+    for ci, label in enumerate(CLASS_LABELS):
         tp = float(matrix[ci, ci])
         fn = float(supports[ci] - matrix[ci, ci])
         fp = float(matrix[:, ci].sum() - matrix[ci, ci])
@@ -191,42 +195,17 @@ def evaluate(
         else:
             precision = 0.0
             warnings.append(f"class {label} never predicted; precision set to 0")
-        f_measure = (
-            2.0 * precision * recall / (precision + recall)
-            if precision + recall > 0
-            else 0.0
-        )
-        per_class.append(
-            PerClassMetrics(
-                label, recall, fp_rate, precision, recall, f_measure,
-                roc_area(actual_idx, dist, ci),
-            )
-        )
+        f_measure = (2.0 * precision * recall / (precision + recall)
+                     if precision + recall > 0 else 0.0)
+        per_class.append(PerClassMetrics(label, recall, fp_rate, precision, recall, f_measure,
+                                         roc_area(actual_idx, dist, ci)))
     weights = supports / n
-    weighted = PerClassMetrics(
-        "weighted",
-        *(
-            float(sum(w * getattr(pc, name) for w, pc in zip(weights, per_class)))
-            for name in ("tp_rate", "fp_rate", "precision", "recall", "f_measure",
-                         "roc_area")
-        ),
-    )
-    return EvaluationReport(
-        class_labels,
-        n,
-        correct,
-        accuracy,
-        kappa_statistic(matrix),
-        mae,
-        rmse,
-        rae,
-        rrse,
-        matrix,
-        tuple(per_class),
-        weighted,
-        tuple(warnings),
-        fold_digest,
-    )
+    weighted = PerClassMetrics("weighted", *(
+        float(sum(w * getattr(pc, name) for w, pc in zip(weights, per_class)))
+        for name in METRICS))
+    return EvaluationReport(n, correct, accuracy, kappa_statistic(matrix), mae, rmse, rae,
+                            rrse, matrix, tuple(per_class), weighted, tuple(warnings),
+                            fold_digest)
 
 
 class NaiveBayesLearner:
@@ -262,10 +241,8 @@ class SvmLearner:
 def smoothed_class_distribution(dataset: Dataset) -> np.ndarray:
     """Add-one-smoothed class frequencies, the per-fold baseline predictor."""
     counts = dataset.class_counts()
-    k = len(dataset.class_labels)
-    return np.array(
-        [(counts[c] + 1) / (len(dataset) + k) for c in dataset.class_labels]
-    )
+    k = len(CLASS_LABELS)
+    return np.array([(counts[c] + 1) / (len(dataset) + k) for c in CLASS_LABELS])
 
 
 def cross_validate(dataset: Dataset, learner, k: int, seed: int):
@@ -293,10 +270,9 @@ def cross_validate(dataset: Dataset, learner, k: int, seed: int):
         if converged is not None:
             flags.append(converged)
 
-    actual_idx = np.array([dataset.class_labels.index(c) for c in dataset.labels])
+    actual_idx = np.array([CLASS_LABELS.index(c) for c in dataset.labels])
     report = evaluate(actual_idx[np.concatenate(tests)], np.concatenate(dists),
-                      np.concatenate(baselines),
-                      class_labels=dataset.class_labels, fold_digest=folds.digest())
+                      np.concatenate(baselines), fold_digest=folds.digest())
     if flags:
         m = sum(flags)
         warnings = report.warnings
@@ -340,24 +316,18 @@ def render_text(report: EvaluationReport) -> str:
     lines.append("=== Detailed accuracy by class ===")
     header = ("TP Rate", "FP Rate", "Precision", "Recall", "F-Measure", "ROC Area")
     lines.append("".join(f"{h:>11s}" for h in header) + "   Class")
-    for pc in report.per_class:
-        row = (pc.tp_rate, pc.fp_rate, pc.precision, pc.recall, pc.f_measure,
-               pc.roc_area)
-        lines.append("".join(f"{_fmt(v, 3):>11s}" for v in row) + f"   {pc.label}")
-    wrow = (report.weighted.tp_rate, report.weighted.fp_rate,
-            report.weighted.precision, report.weighted.recall,
-            report.weighted.f_measure, report.weighted.roc_area)
-    lines.append("".join(f"{_fmt(v, 3):>11s}" for v in wrow) + "   Weighted avg.")
+    for pc in report.per_class + (report.weighted,):
+        label = "Weighted avg." if pc is report.weighted else pc.label
+        lines.append("".join(f"{_fmt(getattr(pc, name), 3):>11s}" for name in METRICS)
+                     + f"   {label}")
 
     lines.append("")
     lines.append("=== Confusion matrix ===")
-    tags = [chr(ord("a") + i) for i in range(len(report.class_labels))]
+    tags = "ab"  # one per class of CLASS_LABELS
     lines.append(" ".join(f"{t:>5s}" for t in tags) + "   <-- classified as")
-    for ci, label in enumerate(report.class_labels):
-        lines.append(
-            " ".join(f"{int(v):5d}" for v in report.confusion[ci])
-            + f" |  {tags[ci]} = {label}"
-        )
+    for ci, label in enumerate(CLASS_LABELS):
+        lines.append(" ".join(f"{int(v):5d}" for v in report.confusion[ci])
+                     + f" |  {tags[ci]} = {label}")
     for warning in report.warnings:
         lines.append(f"note: {warning}")
     return "\n".join(lines) + "\n"
@@ -366,7 +336,7 @@ def render_text(report: EvaluationReport) -> str:
 def render_machine(report: EvaluationReport) -> str:
     """Key-value report with every field at full precision."""
     lines = [
-        f"classes = {','.join(report.class_labels)}",
+        f"classes = {','.join(CLASS_LABELS)}",
         f"instances = {report.n}",
         f"correct = {report.correct}",
         f"incorrect = {report.incorrect}",
@@ -378,18 +348,12 @@ def render_machine(report: EvaluationReport) -> str:
     if report.rae is not None:
         lines.append(f"rae_percent = {report.rae:.17g}")
         lines.append(f"rrse_percent = {report.rrse:.17g}")
-    for ci, actual in enumerate(report.class_labels):
-        for pi, predicted in enumerate(report.class_labels):
-            lines.append(
-                f"confusion.{actual}.{predicted} = {int(report.confusion[ci, pi])}"
-            )
-    for pc in report.per_class:
-        for name in ("tp_rate", "fp_rate", "precision", "recall", "f_measure",
-                     "roc_area"):
-            lines.append(f"class.{pc.label}.{name} = {getattr(pc, name):.17g}")
-    for name in ("tp_rate", "fp_rate", "precision", "recall", "f_measure",
-                 "roc_area"):
-        lines.append(f"weighted.{name} = {getattr(report.weighted, name):.17g}")
+    for ci, actual in enumerate(CLASS_LABELS):
+        for pi, predicted in enumerate(CLASS_LABELS):
+            lines.append(f"confusion.{actual}.{predicted} = {int(report.confusion[ci, pi])}")
+    for pc in report.per_class + (report.weighted,):
+        prefix = "weighted" if pc is report.weighted else f"class.{pc.label}"
+        lines += [f"{prefix}.{name} = {getattr(pc, name):.17g}" for name in METRICS]
     if report.fold_digest:
         lines.append(f"fold_digest = {report.fold_digest}")
     if report.svm_folds_converged is not None:

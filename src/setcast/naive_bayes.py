@@ -14,7 +14,9 @@ The Gaussians are fitted with one of two estimators:
     Arithmetic mean and population standard deviation of the raw values.
 
 Scores are accumulated in log space and normalized by max-subtraction, so
-wide schemas and extreme feature values cannot overflow.
+wide schemas and extreme feature values cannot overflow.  Priors and
+posteriors are over the two classes of ``dataset.CLASS_LABELS``, in that
+order; :func:`predict_proba` is the prediction path, one row per sample.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, KeyValueFile
+from .dataset import CLASS_LABELS, Dataset, KeyValueFile
 from .errors import DataFormatError, TrainingError
 
 #: Lower bound on any fitted standard deviation (percent units).
@@ -47,8 +49,7 @@ class GaussianParams:
 
 @dataclass(frozen=True)
 class NaiveBayesModel:
-    class_labels: tuple
-    priors: np.ndarray  # aligned with class_labels
+    priors: np.ndarray  # aligned with CLASS_LABELS
     attribute_names: tuple
     gaussians: dict  # (class_index, attr_index) -> GaussianParams
     precisions: dict = field(default_factory=dict)  # attr_index -> rounding precision
@@ -59,21 +60,13 @@ class NaiveBayesModel:
 
 
 def estimate_priors(dataset: Dataset) -> np.ndarray:
-    """Class frequencies count(C)/n, in dataset.class_labels order."""
+    """Class frequencies count(C)/n, in CLASS_LABELS order."""
     counts = dataset.class_counts()
     zero = [c for c, cnt in counts.items() if cnt == 0]
     if zero:
         raise TrainingError(f"class with zero training samples: {zero}")
     n = len(dataset)
-    return np.array([counts[c] / n for c in dataset.class_labels])
-
-
-def fit_gaussian(values) -> GaussianParams:
-    """Fit mean and population standard deviation, flooring sigma."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise DataFormatError("cannot fit a Gaussian to an empty value list")
-    return GaussianParams(float(arr.mean()), max(float(arr.std()), SIGMA_FLOOR))
+    return np.array([counts[c] / n for c in CLASS_LABELS])
 
 
 def attribute_precision(values) -> float:
@@ -87,12 +80,6 @@ def attribute_precision(values) -> float:
 def round_to_precision(values, precision: float):
     """Round values to the nearest multiple of precision (ties to even)."""
     return np.rint(np.asarray(values, dtype=float) / precision) * precision
-
-
-def gaussian_pdf(x: float, params: GaussianParams) -> float:
-    """Gaussian density (1 / (sqrt(2 pi) sigma)) exp(-(x - mu)^2 / (2 sigma^2))."""
-    z = (x - params.mu) / params.sigma
-    return math.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * params.sigma)
 
 
 def train(dataset: Dataset, *, priors: str = "frequency",
@@ -110,10 +97,10 @@ def train(dataset: Dataset, *, priors: str = "frequency",
         raise DataFormatError(f"unknown estimator mode {estimator!r}")
     prior_vec = estimate_priors(dataset)  # raises for a class without samples
     if priors == "uniform":
-        prior_vec = np.full(len(dataset.class_labels), 1.0 / len(dataset.class_labels))
+        prior_vec = np.full(len(CLASS_LABELS), 1.0 / len(CLASS_LABELS))
 
     labels = np.array(dataset.labels)
-    masks = [labels == c for c in dataset.class_labels]
+    masks = [labels == c for c in CLASS_LABELS]
     gaussians = {}
     precisions = {}
     for ai, name in enumerate(dataset.attribute_names):
@@ -128,16 +115,16 @@ def train(dataset: Dataset, *, priors: str = "frequency",
                 mu, sigma = float(vals.mean()), float(vals.std())
                 if not (math.isfinite(mu) and math.isfinite(sigma)):
                     raise DataFormatError(
-                        f"attribute {name}, class {dataset.class_labels[ci]}: no finite "
+                        f"attribute {name}, class {CLASS_LABELS[ci]}: no finite "
                         "Gaussian fit; a feature value is too large in magnitude"
                     )
                 gaussians[(ci, ai)] = GaussianParams(mu, max(sigma, floor))
-    return NaiveBayesModel(dataset.class_labels, prior_vec, dataset.attribute_names,
-                           gaussians, precisions, estimator)
+    return NaiveBayesModel(prior_vec, dataset.attribute_names, gaussians, precisions,
+                           estimator)
 
 
 def predict_proba(model: NaiveBayesModel, X) -> np.ndarray:
-    """Posterior distributions over model.class_labels, one row per sample of
+    """Posterior distributions over CLASS_LABELS, one row per sample of
     X (n, d).
 
     Scores accumulate per class from log(prior), one attribute at a time,
@@ -150,9 +137,9 @@ def predict_proba(model: NaiveBayesModel, X) -> np.ndarray:
         raise DataFormatError(
             f"samples have shape {X.shape[1:]}, model expects {model.n_attributes()} features"
         )
-    scores = np.empty((X.shape[0], len(model.class_labels)))
+    scores = np.empty((X.shape[0], len(CLASS_LABELS)))
     scores[:] = np.log(model.priors)
-    for ci in range(len(model.class_labels)):
+    for ci in range(len(CLASS_LABELS)):
         column = scores[:, ci]
         for ai in range(model.n_attributes()):
             params = model.gaussians[(ci, ai)]
@@ -172,28 +159,23 @@ def predict_proba(model: NaiveBayesModel, X) -> np.ndarray:
 
 
 def predict_distribution(model: NaiveBayesModel, x) -> np.ndarray:
-    """Posterior distribution over model.class_labels for one sample."""
+    """Posterior distribution over CLASS_LABELS for one sample."""
     return predict_proba(model, np.asarray(x, dtype=float)[None])[0]
-
-
-def classify(model: NaiveBayesModel, x) -> str:
-    """Maximum-posterior class; ties go to the first class in class_labels."""
-    return model.class_labels[int(np.argmax(predict_distribution(model, x)))]
 
 
 def save_model(model: NaiveBayesModel, path) -> None:
     """Serialize as flat ``key = value`` text, round-trip safe to 17 digits."""
     lines = KeyValueFile.header("nb") + [
-        f"classes = {','.join(model.class_labels)}",
+        f"classes = {','.join(CLASS_LABELS)}",
         f"attributes = {','.join(model.attribute_names)}",
         f"estimator = {model.estimator}",
     ]
-    for ci, c in enumerate(model.class_labels):
+    for ci, c in enumerate(CLASS_LABELS):
         lines.append(f"prior.{c} = {model.priors[ci]:.17g}")
     for ai in sorted(model.precisions):
         lines.append(f"precision.{model.attribute_names[ai]} = {model.precisions[ai]:.17g}")
     for (ci, ai), params in sorted(model.gaussians.items()):
-        key = f"gaussian.{model.class_labels[ci]}.{model.attribute_names[ai]}"
+        key = f"gaussian.{CLASS_LABELS[ci]}.{model.attribute_names[ai]}"
         lines.append(f"{key}.mu = {params.mu:.17g}")
         lines.append(f"{key}.sigma = {params.sigma:.17g}")
     with open(path, "w", encoding="utf-8") as fh:
@@ -201,21 +183,23 @@ def save_model(model: NaiveBayesModel, path) -> None:
 
 
 def load_model(path) -> NaiveBayesModel:
-    """Inverse of :func:`save_model`.  A missing, malformed or extra entry
+    """Inverse of :func:`save_model`.  A missing, malformed or extra entry, a
+    ``classes`` line other than ``UP,DOWN`` or a prior that is not positive
     raises DataFormatError."""
     f = KeyValueFile(path, "nb", "a naive Bayes")
-    class_labels = tuple(f.text("classes").split(","))
+    f.choice("classes", (",".join(CLASS_LABELS),))
     attribute_names = tuple(f.text("attributes").split(","))
     estimator = f.choice("estimator", ("rounded", "plain"))
-    priors = np.array([f.number(f"prior.{c}") for c in class_labels])
+    priors = np.array([f.number(f"prior.{c}") for c in CLASS_LABELS])
+    if not (priors > 0).all():
+        raise DataFormatError(f"{path}: priors must be positive")
     precisions = {}
     if estimator == "rounded":
         precisions = {ai: f.number(f"precision.{a}") for ai, a in enumerate(attribute_names)}
     gaussians = {
         (ci, ai): GaussianParams(f.number(f"gaussian.{c}.{a}.mu"),
                                  f.number(f"gaussian.{c}.{a}.sigma"))
-        for ci, c in enumerate(class_labels) for ai, a in enumerate(attribute_names)
+        for ci, c in enumerate(CLASS_LABELS) for ai, a in enumerate(attribute_names)
     }
     f.finish()
-    return NaiveBayesModel(class_labels, priors, attribute_names, gaussians, precisions,
-                           estimator)
+    return NaiveBayesModel(priors, attribute_names, gaussians, precisions, estimator)

@@ -17,7 +17,9 @@ alpha_i and alpha_j of the chosen pair move, so g changes by two kernel rows,
 F is recomputed from g as y - g, and set membership changes only at i and j.
 
 Class mapping is fixed: UP -> +1, DOWN -> -1, and a decision value of exactly
-zero classifies as DOWN.
+zero classifies as DOWN.  :func:`decision_values` and :func:`predict_proba`
+are the prediction path, one row per sample; a row whose decision value is
+not finite raises DataFormatError.
 """
 from __future__ import annotations
 
@@ -113,7 +115,6 @@ class SvmModel:
     C: float
     converged: bool
     kkt_violation: float = float("nan")
-    class_labels = CLASS_LABELS  # column order of predict_proba; not a field
 
 
 def kernel_eval(spec: KernelSpec, x, z) -> float:
@@ -335,14 +336,13 @@ def _package(X, alpha, y, b, kernel, C, converged, worst):
     )
 
 
-def decision_value(model: SvmModel, x) -> float:
-    """f(x) = b + sum_i alpha_i y_i K(x_i, x)."""
-    return float(decision_values(model, np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
-
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises instead
 def decision_values(model: SvmModel, X) -> np.ndarray:
-    """f(x) for every row of X, in row blocks whose kernel block holds about
-    KERNEL_BLOCK_BYTES, so memory stays flat in the number of rows."""
+    """f(x) = b + sum_i alpha_i y_i K(x_i, x) for every row of X, in row
+    blocks whose kernel block holds about KERNEL_BLOCK_BYTES, so memory stays
+    flat in the number of rows.  Raises DataFormatError naming the first row
+    whose f(x) is not finite.  An RBF kernel that underflows to 0 is exact,
+    so such a row keeps the bias alone."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     weights = model.coefficients * model.labels
     if len(weights) == 0:
@@ -352,6 +352,10 @@ def decision_values(model: SvmModel, X) -> np.ndarray:
     for start in range(0, X.shape[0], rows):
         block = kernel_matrix(model.kernel, X[start:start + rows], model.support_vectors)
         out[start:start + rows] = block @ weights + model.bias
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise DataFormatError(f"sample {bad[0] + 1}: the SVM decision value is not finite; "
+                              "a feature is NaN or too large in magnitude")
     return out
 
 
@@ -364,13 +368,8 @@ def predict_proba(model: SvmModel, X) -> np.ndarray:
 
 
 def hard_distribution(model: SvmModel, x) -> np.ndarray:
-    """One-hot distribution over (UP, DOWN) for one sample."""
+    """One-hot distribution over CLASS_LABELS for one sample."""
     return predict_proba(model, x)[0]
-
-
-def classify(model: SvmModel, x) -> str:
-    """UP for a positive decision value, DOWN otherwise (zero counts as DOWN)."""
-    return CLASS_LABELS[int(np.argmax(hard_distribution(model, x)))]
 
 
 def save_model(model: SvmModel, path) -> None:

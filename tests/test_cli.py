@@ -1,4 +1,8 @@
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,9 @@ from setcast import dataset as ds
 from setcast import naive_bayes, svm
 
 from conftest import FIVE_DAY_EXPECTED_FEATURES, FIVE_DAY_EXPECTED_LABELS, raw_csv_text
+
+
+ROW = ("2010-01-04", "100", "200", "300", "299", "33", "1000", "1100")
 
 
 def run(*argv):
@@ -34,6 +41,47 @@ def test_ingest_rejects_short_series(tmp_path, capsys):
     out = tmp_path / "samples.csv"
     assert run("ingest", "--data", str(raw), "--output", str(out)) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dates, message", [
+    (["2010-01-04", "2010-01-05", "2010-01-05"], "'2010-01-05' after '2010-01-05'"),
+    (["2010-01-05", "2010-01-04", "2010-01-06"], "'2010-01-04' after '2010-01-05'"),
+    (["2010-01-04", "", "2010-01-06"], "'' after '2010-01-04'"),
+    (["2010-01-04", "2010-1-5", "2010-01-06"], "'2010-1-5' after '2010-01-04'"),
+    (["2010-01-04", "2010-01-05T00", "2010-01-06"], "'2010-01-05T00' after '2010-01-04'"),
+    (["2010-01-04", "2010-01-05", "NaT"], "'NaT' after '2010-01-05'"),
+    (["04/01/2010", "2010-01-05", "2010-01-06"], "date '04/01/2010': dates"),
+], ids=["repeated", "backwards", "blank", "unpadded", "time", "nat", "first"])
+def test_ingest_requires_increasing_iso_dates(tmp_path, capsys, dates, message):
+    rows = [(d,) + ROW[1:] for d in dates]
+    raw = tmp_path / "raw.csv"
+    raw.write_text(raw_csv_text(rows + [("2010-01-29",) + ROW[1:]]))
+    out = tmp_path / "samples.csv"
+    assert run("ingest", "--data", str(raw), "--output", str(out)) == 2
+    err = capsys.readouterr().err
+    assert message in err and "YYYY-MM-DD" in err
+    assert not out.exists()
+
+
+def test_ingest_checks_dates_of_incomplete_days(tmp_path, capsys):
+    # the repeated day lacks a price, so it would be dropped before the chain
+    rows = [("2010-01-04",) + ROW[1:], ("2010-01-04",) + ROW[1:-1] + ("",)] + [
+        (f"2010-01-0{d}",) + ROW[1:] for d in (5, 6, 7)]
+    raw = tmp_path / "raw.csv"
+    raw.write_text(raw_csv_text(rows))
+    assert run("ingest", "--data", str(raw), "--output", str(tmp_path / "o.csv")) == 2
+    assert "'2010-01-04' after '2010-01-04'" in capsys.readouterr().err
+
+
+def test_ingest_percent_change_beyond_float_range_exits_2(tmp_path, capsys):
+    rows = [(f"2010-01-0{d}",) + ROW[1:] for d in (4, 5, 6, 7)]
+    rows[1] = rows[1][:1] + ("1e307",) + rows[1][2:]  # NK rises 1e305-fold
+    raw = tmp_path / "raw.csv"
+    raw.write_text(raw_csv_text(rows))
+    assert run("ingest", "--data", str(raw), "--output", str(tmp_path / "o.csv")) == 2
+    err = capsys.readouterr().err
+    assert "2010-01-05: a percent change is too large" in err
+    assert "Warning" not in err
 
 
 def test_ingest_missing_input_is_io_error(tmp_path):
@@ -90,7 +138,7 @@ def test_predict_resubstitution_confusion(tmp_path):
     for row, line in zip(data.features, lines[1:]):
         label, p_up, p_down = line.split(",")
         dist = naive_bayes.predict_distribution(model, row)
-        assert naive_bayes.classify(model, row) == label
+        assert ds.CLASS_LABELS[int(np.argmax(dist))] == label
         assert float(p_up) == dist[0] and float(p_down) == dist[1]
 
     confusion = np.zeros((2, 2), dtype=int)
@@ -173,6 +221,28 @@ def test_training_feature_beyond_float_range_exits_2(tmp_path, capsys, argv, val
     err = capsys.readouterr().err
     assert "attribute USDTHB" in err
     assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("value", ["1e200", "-1e200", "1e300"])
+@pytest.mark.parametrize("kernel", ["linear", "poly", "rbf"])
+def test_predict_decision_value_beyond_float_range(tmp_path, capsys, kernel, value):
+    model_path = tmp_path / f"{kernel}.model"
+    assert run("train", "--model", "svm", "--kernel", kernel, "--output", str(model_path)) == 0
+    samples = tmp_path / "huge.csv"
+    samples.write_text(",".join(ds.ATTRIBUTE_NAMES) + f"\n0,0,0,0,0,0\n{value},0,0,0,0,0\n")
+    code = run("predict", "--model-file", str(model_path), "--data", str(samples))
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
+    assert "nan" not in captured.out.lower()
+    if code == 2:
+        assert captured.out == "" and "sample 2" in captured.err
+    if kernel == "poly" and value != "1e300":
+        assert code == 2  # (x.z + 1)^2 overflows, and inf - inf is NaN
+    if kernel == "rbf":  # the kernel underflows to 0: the bias alone decides
+        model = svm.load_model(model_path)
+        want = "UP,1,0" if model.bias > 0 else "DOWN,0,1"
+        assert code == 0 and captured.out.splitlines()[2] == want
 
 
 def test_predict_unreadable_model_file(tmp_path):
@@ -289,8 +359,29 @@ def test_compare_single_class_data(tmp_path, capsys):
     path = tmp_path / "oneclass.csv"
     data = ds.Dataset(np.arange(24, dtype=float).reshape(4, 6), (ds.DOWN,) * 4)
     ds.save_samples(data, path)
-    assert run("compare", "--data", str(path)) == 2
-    assert "both classes" in capsys.readouterr().err
+    assert run("compare", "--data", str(path), "--folds", "3") == 2
+    assert "class with zero samples: ['UP']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", ["nan", "1e400", "-inf"])
+@pytest.mark.parametrize("argv", [("cv",), ("train",), ("compare",)])
+def test_non_finite_sample_feature_names_file_and_line(tmp_path, capsys, argv, cell):
+    lines = ds.read_text(cli.default_data_path()).splitlines()
+    lines[4] = cell + lines[4][lines[4].index(","):]
+    samples = tmp_path / "bad.csv"
+    samples.write_text("\n".join(lines) + "\n")
+    assert run(*argv, "--data", str(samples)) == 2
+    assert f"error: {samples}:5: non-finite feature value" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_without_warnings():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-m", "setcast.cli", "cv", "--format", "machine"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert "correct = 19" in done.stdout
 
 
 # ------------------------------------------------------------------ data lookup

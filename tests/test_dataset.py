@@ -265,6 +265,8 @@ def _reference_load_samples(path):
                 rows.append([float(v) for v in row[:-1]])
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+            if not all(map(math.isfinite, rows[-1])):
+                raise DataFormatError(f"{path}:{lineno}: non-finite feature value")
             token = row[-1].strip().upper()
             if token not in ds.CLASS_LABELS:
                 raise DataFormatError(f"{path}:{lineno}: unknown label {row[-1]!r}")
@@ -363,7 +365,7 @@ def _reference_stratified_folds(dataset, k, seed):
     labels = np.array(dataset.labels, dtype=object)
     assignment = np.empty(len(dataset), dtype=int)
     pointer = 0
-    for c in dataset.class_labels:
+    for c in ds.CLASS_LABELS:
         idx = np.flatnonzero(labels == c)
         rng.shuffle(idx)
         for i in idx:
@@ -549,7 +551,8 @@ def test_build_training_table_matches_per_day_loop(data):
     price = st.one_of(st.floats(min_value=1e-3, max_value=1e6),
                       st.sampled_from([0.0, -1.0, np.nan]))
     values = np.array([[data.draw(price) for _ in ds.RAW_COLUMNS] for _ in range(n)])
-    series = ds.RawSeries(tuple(f"d{t}" for t in range(n)), values.reshape(n, len(ds.RAW_COLUMNS)))
+    dates = np.datetime64("2010-01-04") + np.arange(n)
+    series = ds.RawSeries(tuple(map(str, dates)), values.reshape(n, len(ds.RAW_COLUMNS)))
     got, want = (_outcome(build, series)
                  for build in (ds.build_training_table, _reference_build_training_table))
     assert got[0] == want[0]

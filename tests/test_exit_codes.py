@@ -1,0 +1,133 @@
+"""The exit-code contract under mutated inputs: every subcommand, given a
+sample, raw-series, feature or model file with cells, lines or bytes
+mutated, exits 0, 2, 3 or 4 with no exception, no traceback and no warning,
+and an exit 0 writes no NaN."""
+import contextlib
+import io
+import re
+import warnings
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from setcast import cli
+from setcast import dataset as ds
+
+from conftest import FIVE_DAY_ROWS, raw_csv_text
+
+MODELS = {"nb": ("--model", "nb"), "linear": ("--model", "svm"),
+          "poly": ("--model", "svm", "--kernel", "poly"),
+          "rbf": ("--model", "svm", "--kernel", "rbf")}
+
+#: (target, file mutated, argv with INPUT for that file and MODEL:<kind> for
+#: an intact model file)
+TARGETS = {
+    "train-nb": ("samples", ("train", "--data", "INPUT") + MODELS["nb"]),
+    "train-poly": ("samples", ("train", "--data", "INPUT") + MODELS["poly"]),
+    "cv-nb": ("samples", ("cv", "--data", "INPUT", "--folds", "3") + MODELS["nb"]),
+    "cv-rbf": ("samples", ("cv", "--data", "INPUT", "--folds", "3") + MODELS["rbf"]),
+    "compare": ("samples", ("compare", "--data", "INPUT", "--folds", "3", "--format", "machine")),
+    "predict-samples": ("samples", ("predict", "--data", "INPUT", "--model-file", "MODEL:nb")),
+    "predict-features-nb": ("features", ("predict", "--data", "INPUT", "--model-file", "MODEL:nb")),
+    "predict-features-rbf": ("features", ("predict", "--data", "INPUT",
+                                          "--model-file", "MODEL:rbf")),
+    "ingest": ("raw", ("ingest", "--data", "INPUT")),
+    "predict-nb": ("nb", ("predict", "--model-file", "INPUT")),
+    "predict-linear": ("linear", ("predict", "--model-file", "INPUT")),
+    "predict-poly": ("poly", ("predict", "--model-file", "INPUT")),
+    "predict-rbf": ("rbf", ("predict", "--model-file", "INPUT")),
+}
+
+CELLS = ["", "0", "-0", "1", "-1", "5e-324", "1e-300", "1e200", "-1e200", "1e300", "1e308",
+         "1.7976931348623157e308", "1e400", "nan", "inf", "-inf", "x", "UP", "DOWN", "up",
+         "2010-01-04", "2010-01-05", "2009-12-31", "NaT", '"', '"1"', "1,2", "0x10", "1_0",
+         "poly", "rbf", "true", "999999999999"]
+
+#: A mutation: ("cell", line, cell, value), ("line", "delete" / "repeat" /
+#: "swap", line, other) or ("byte", position, byte, "replace" / "insert" /
+#: "truncate").  Indexes wrap around the file they are applied to.
+MUTATION = st.one_of(
+    st.tuples(st.just("cell"), st.integers(0, 99), st.integers(0, 9),
+              st.sampled_from(CELLS) | st.floats().map(repr)),
+    st.tuples(st.just("line"), st.sampled_from(["delete", "repeat", "swap"]),
+              st.integers(0, 99), st.integers(0, 99)),
+    st.tuples(st.just("byte"), st.integers(0, 9999), st.integers(0, 255),
+              st.sampled_from(["replace", "insert", "truncate"])),
+)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """The intact text of each input kind, and a saved model file per kind."""
+    work = tmp_path_factory.mktemp("inputs")
+    samples = ds.read_text(cli.default_data_path())
+    texts = {
+        "samples": "\n".join(samples.splitlines()[:13]) + "\n",
+        "features": "".join(line.rpartition(",")[0] + "\n" for line in samples.splitlines()),
+        "raw": raw_csv_text(FIVE_DAY_ROWS),
+    }
+    for kind, flags in MODELS.items():
+        path = work / f"{kind}.model"
+        assert cli.main(["train", *flags, "--output", str(path)]) == 0
+        texts[kind] = path.read_text()
+    return work, texts
+
+
+def mutate(text: str, mutation) -> str:
+    op, a, b, c = mutation
+    lines = text.split("\n")
+    if op == "cell":
+        i = a % len(lines)
+        cells = re.split(r"(,| = )", lines[i])
+        cells[2 * (b % (len(cells) // 2 + 1))] = c
+        lines[i] = "".join(cells)
+    elif op == "line":
+        i, j = b % len(lines), c % len(lines)
+        if a == "delete":
+            del lines[i]
+        elif a == "repeat":
+            lines.insert(i, lines[i])
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+    else:
+        data = bytearray(text.encode("utf-8", "surrogateescape"))
+        i = a % (len(data) + 1)
+        if c == "truncate":
+            return bytes(data[:i]).decode("utf-8", "surrogateescape")
+        data[i:i + (c == "replace")] = bytes([b])
+        return bytes(data).decode("utf-8", "surrogateescape")
+    return "\n".join(lines)
+
+
+@settings(max_examples=250, deadline=None)
+@given(target=st.sampled_from(sorted(TARGETS)),
+       mutations=st.lists(MUTATION, min_size=1, max_size=3))
+# Each example printed a NumPy RuntimeWarning before the fix it pins.
+@example(target="ingest", mutations=[("cell", 2, 1, "1e308")])  # percent change overflows
+@example(target="predict-nb", mutations=[("cell", 5, 1, "0")])  # prior.UP = 0: log(0)
+@example(target="predict-nb", mutations=[("cell", 6, 1, "-1")])  # prior.DOWN = -1: NaN
+@example(target="predict-poly", mutations=[("cell", 3, 1, "999999999999")])  # degree
+@example(target="predict-features-rbf", mutations=[("cell", 1, 0, "1e300")])  # |x|^2
+def test_every_subcommand_keeps_the_exit_code_contract(inputs, target, mutations):
+    work, texts = inputs
+    kind, argv = TARGETS[target]
+    text = texts[kind]
+    for mutation in mutations:
+        text = mutate(text, mutation)
+    path = work / "input"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    output = work / "output"
+    output.unlink(missing_ok=True)
+    argv = [str(path) if a == "INPUT" else str(work / f"{a[6:]}.model")
+            if a.startswith("MODEL:") else a for a in argv] + ["--output", str(output)]
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4)
+    assert not caught, [str(w.message) for w in caught]
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    if code == 0:
+        assert not re.search(r"\bnan\b", output.read_text(), re.IGNORECASE)

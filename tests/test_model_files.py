@@ -138,3 +138,17 @@ def test_other_model_file_formats_exit_2_naming_the_format(saved_models, kind, e
     assert cli.main(["predict", "--model-file", str(path)]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("classes", ["DOWN,UP", "UP", "UP,DOWN,FLAT", "up,down", ""])
+def test_nb_classes_other_than_up_down_exit_2(saved_models, tmp_path, capsys, classes):
+    text = saved_models[0][1]
+    if classes == "UP":  # a one-class file: no DOWN entries either
+        text = "".join(line for line in text.splitlines(True) if ".DOWN" not in line)
+    path = tmp_path / "classes.model"
+    path.write_text(text.replace("classes = UP,DOWN\n", f"classes = {classes}\n"))
+    with pytest.raises(DataFormatError, match="classes"):
+        nb.load_model(path)
+    assert cli.main(["predict", "--model-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "classes" in err and "Traceback" not in err

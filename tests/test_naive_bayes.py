@@ -36,48 +36,6 @@ def test_uniform_priors_option(market_data):
     np.testing.assert_allclose(model.priors, [0.5, 0.5])
 
 
-# ------------------------------------------------------------------ fit_gaussian
-def test_fit_gaussian_population_convention():
-    params = nb.fit_gaussian([-1.0, 1.0])
-    assert params.mu == 0.0
-    assert params.sigma == 1.0  # population, not sample (sqrt(2))
-
-
-def test_fit_gaussian_single_value_floors_sigma():
-    params = nb.fit_gaussian([3.25])
-    assert params.mu == 3.25
-    assert params.sigma == nb.SIGMA_FLOOR
-
-
-def test_fit_gaussian_empty():
-    with pytest.raises(DataFormatError):
-        nb.fit_gaussian([])
-
-
-# ------------------------------------------------------------------ gaussian_pdf
-def test_pdf_at_mean_unit_sigma():
-    assert nb.gaussian_pdf(0.0, nb.GaussianParams(0.0, 1.0)) == pytest.approx(
-        0.398942, abs=1e-6
-    )
-
-
-@given(st.floats(min_value=1e-6, max_value=1e6), st.floats(-100, 100))
-def test_pdf_at_mean_any_sigma(sigma, mu):
-    expected = 1.0 / (math.sqrt(2 * math.pi) * sigma)
-    assert nb.gaussian_pdf(mu, nb.GaussianParams(mu, sigma)) == pytest.approx(expected)
-
-
-def test_pdf_matches_high_precision_reference():
-    # reference values computed with 30-digit arithmetic
-    params = nb.GaussianParams(0.0956, 1.5406)
-    assert nb.gaussian_pdf(0.0956, params) == pytest.approx(
-        0.2589525382327876658055, rel=1e-14
-    )
-    assert nb.gaussian_pdf(1.0, params) == pytest.approx(
-        0.217964991553791331257, rel=1e-14
-    )
-
-
 # ----------------------------------------------------------- precision rounding
 def test_attribute_precision():
     assert nb.attribute_precision([1.0, 2.0, 4.0]) == pytest.approx(1.5)
@@ -130,7 +88,7 @@ def test_symmetric_posterior():
     model = nb.train(data, estimator="plain")
     dist = nb.predict_distribution(model, [0.0])
     np.testing.assert_allclose(dist, [0.5, 0.5], atol=1e-9)
-    assert nb.classify(model, [0.0]) == ds.UP  # tie goes to the first class
+    assert _predicted(model, [[0.0]]) == [ds.UP]  # tie goes to the first class
 
 
 def test_hand_computed_posterior():
@@ -156,11 +114,16 @@ def test_schema_mismatch():
         nb.predict_distribution(model, [1.0])
 
 
+def _predicted(model, X):
+    """The most probable class of each row, ties going to the first class."""
+    return [ds.CLASS_LABELS[i] for i in nb.predict_proba(model, X).argmax(axis=1)]
+
+
 def _per_row_reference(model, x):
     """The posterior by the one-row loop the batch path replaced: log prior,
     then each attribute's log-likelihood added in attribute order."""
     scores = np.log(model.priors).copy()
-    for ci in range(len(model.class_labels)):
+    for ci in range(len(ds.CLASS_LABELS)):
         for ai in range(model.n_attributes()):
             params = model.gaussians[(ci, ai)]
             z = (float(x[ai]) - params.mu) / params.sigma
@@ -216,7 +179,7 @@ def test_classify_invariant_under_prior_scaling():
             nb.predict_distribution(scaled, x),
             atol=1e-12,
         )
-        assert nb.classify(model, x) == nb.classify(scaled, x)
+        assert _predicted(model, [x]) == _predicted(scaled, [x])
 
 
 def test_single_sample_per_class_nearest_wins():
@@ -226,7 +189,7 @@ def test_single_sample_per_class_nearest_wins():
         model = nb.train(toy_dataset([a], [b]), estimator="plain")
         x = rng.normal(size=4)
         expected = ds.UP if np.sum((x - a) ** 2) < np.sum((x - b) ** 2) else ds.DOWN
-        assert nb.classify(model, x) == expected
+        assert _predicted(model, [x]) == [expected]
 
 
 # ----------------------------------------------------------------- serialization
@@ -235,7 +198,7 @@ def test_model_round_trip(market_data, tmp_path):
     path = tmp_path / "nb.model"
     nb.save_model(model, path)
     again = nb.load_model(path)
-    assert again.class_labels == model.class_labels
+    assert "\nclasses = UP,DOWN\n" in path.read_text()
     assert again.estimator == model.estimator
     np.testing.assert_array_equal(again.priors, model.priors)
     for key, params in model.gaussians.items():

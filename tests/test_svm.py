@@ -24,7 +24,7 @@ def test_kernel_dimension_mismatch():
         svm.kernel_eval(svm.linear_kernel(), [1, 2], [1, 2, 3])
     model = _train(toy_dataset([[0, 0]], [[1, 1]]))
     with pytest.raises(DataFormatError):
-        svm.decision_value(model, [1.0, 2.0, 3.0])
+        svm.decision_values(model, [[1.0, 2.0, 3.0]])
 
 
 def test_kernel_spec_validation():
@@ -87,14 +87,19 @@ def test_two_point_analytic_solution():
     assert model.converged
     np.testing.assert_allclose(model.coefficients, [0.5, 0.5], atol=1e-12)
     assert model.bias == pytest.approx(0.0, abs=1e-12)
-    assert svm.decision_value(model, [0.0]) == pytest.approx(0.0, abs=1e-12)
+    assert svm.decision_values(model, [[0.0]])[0] == pytest.approx(0.0, abs=1e-12)
     # weight vector has norm 1, so the geometric margin 2/||w|| is 2
     w = (model.coefficients * model.labels) @ model.support_vectors
     assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
 
 
+def _predicted(model, X):
+    """UP for a positive decision value, DOWN otherwise."""
+    return [ds.CLASS_LABELS[i] for i in svm.predict_proba(model, X).argmax(axis=1)]
+
+
 def _training_accuracy(model, data):
-    preds = [svm.classify(model, x) for x in data.features]
+    preds = _predicted(model, data.features)
     return np.mean([p == t for p, t in zip(preds, data.labels)])
 
 
@@ -137,7 +142,7 @@ def test_linear_weight_vector_equivalence():
     w = (model.coefficients * model.labels) @ model.support_vectors
     for _ in range(30):
         x = rng.normal(size=4)
-        assert svm.decision_value(model, x) == pytest.approx(
+        assert svm.decision_values(model, [x])[0] == pytest.approx(
             float(w @ x + model.bias), abs=1e-10
         )
 
@@ -150,11 +155,11 @@ def test_classification_rule():
                         base.kernel, 1.0, True)
     tie = svm.SvmModel(np.zeros((0, 1)), np.zeros(0), np.zeros(0), 0.0,
                        base.kernel, 1.0, True)
-    assert svm.classify(up, [0.0]) == ds.UP
-    assert svm.classify(down, [0.0]) == ds.DOWN
-    assert svm.classify(tie, [0.0]) == ds.DOWN  # exact zero -> DOWN
+    assert _predicted(up, [[0.0]]) == [ds.UP]
+    assert _predicted(down, [[0.0]]) == [ds.DOWN]
+    assert _predicted(tie, [[0.0]]) == [ds.DOWN]  # exact zero -> DOWN
     # empty support set: decision value is the bias
-    assert svm.decision_value(up, [123.0]) == 2.3
+    assert svm.decision_values(up, [[123.0]])[0] == 2.3
     np.testing.assert_array_equal(svm.hard_distribution(up, [0.0]), [1.0, 0.0])
     np.testing.assert_array_equal(svm.hard_distribution(tie, [0.0]), [0.0, 1.0])
 
@@ -170,9 +175,8 @@ def test_predict_proba_agrees_with_per_row_classify(kernel, monkeypatch):
     monkeypatch.setattr(svm, "KERNEL_BLOCK_BYTES", 8 * m * 7)
     X = rng.normal(size=(23, 3))
     dist = svm.predict_proba(model, X)
-    assert [ds.CLASS_LABELS[i] for i in dist.argmax(axis=1)] == [
-        svm.classify(model, x) for x in X
-    ]
+    for row, x in zip(dist, X):
+        np.testing.assert_array_equal(row, svm.hard_distribution(model, x))
     np.testing.assert_array_equal(dist.sum(axis=1), np.ones(23))
     unblocked = svm.kernel_matrix(kernel, X, model.support_vectors) @ (
         model.coefficients * model.labels) + model.bias
@@ -216,7 +220,7 @@ def test_fixture_folds_converge(market_data):
         free = model.coefficients < model.C - 1e-9
         for x, y, is_free in zip(model.support_vectors, model.labels, free):
             if is_free:
-                assert y * svm.decision_value(model, x) == pytest.approx(
+                assert y * svm.decision_values(model, [x])[0] == pytest.approx(
                     1.0, abs=1.1e-3
                 )
 
@@ -239,9 +243,8 @@ def test_model_round_trip(kernel, tmp_path):
     assert again.kkt_violation == model.kkt_violation
     np.testing.assert_array_equal(again.coefficients, model.coefficients)
     np.testing.assert_array_equal(again.support_vectors, model.support_vectors)
-    for _ in range(10):
-        x = rng.normal(size=3)
-        assert svm.decision_value(again, x) == svm.decision_value(model, x)
+    X = rng.normal(size=(10, 3))
+    np.testing.assert_array_equal(svm.decision_values(again, X), svm.decision_values(model, X))
 
 
 def test_load_rejects_other_files(tmp_path):
