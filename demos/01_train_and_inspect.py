@@ -18,11 +18,8 @@ print("\npriors: " + ", ".join(
 
 print("\nper-attribute Gaussian parameters (mu, sigma):")
 print(f"{'attribute':>10s}" + "".join(f"{c:>22s}" for c in ds.CLASS_LABELS))
-for ai, attr in enumerate(ds.ATTRIBUTE_NAMES):
-    cells = []
-    for ci in range(len(ds.CLASS_LABELS)):
-        g = model.gaussians[(ci, ai)]
-        cells.append(f"({g.mu:8.4f}, {g.sigma:7.4f})")
+for attr, mus, sigmas in zip(ds.ATTRIBUTE_NAMES, model.mu.T, model.sigma.T):
+    cells = [f"({mu:8.4f}, {sigma:7.4f})" for mu, sigma in zip(mus, sigmas)]
     print(f"{attr:>10s}" + "".join(f"{c:>22s}" for c in cells))
 
 dists = nb.predict_proba(model, data.features)  # one row per sample

@@ -1,6 +1,8 @@
 """Market data plumbing: labeled samples, the percent-change feature pipeline,
 deterministic stratified fold assignment, and the strict readers of every
-setcast file (the CSV formats and ``key = value`` model files).
+setcast file (the CSV formats and ``key = value`` model files).  The
+model-file layout (a ``model`` line, a ``format`` line, then the model's
+keys) is read and written by :class:`KeyValueFile` alone.
 
 A labeled sample holds the daily percentage changes of six market series
 (Nikkei, Hang Seng, SET, USD/THB, S&P 500, gold) plus the next day's SET
@@ -9,6 +11,7 @@ direction.  Raw price series can be converted into such samples with
 """
 from __future__ import annotations
 
+import datetime
 import io
 import math
 from dataclasses import dataclass
@@ -253,12 +256,13 @@ class KeyValueFile:
     a file of any other format is rejected, not converted.
     """
 
-    FORMAT = "1"
+    FORMAT = "2"
 
-    @staticmethod
-    def header(model: str) -> list:
-        """The first two lines of a ``model`` file: its kind and its format."""
-        return [f"model = {model}", f"format = {KeyValueFile.FORMAT}"]
+    @classmethod
+    def write(cls, path, model: str, lines) -> None:
+        """Write a ``model`` file: its kind and format lines, then ``lines``."""
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join([f"model = {model}", f"format = {cls.FORMAT}", *lines]) + "\n")
 
     def __init__(self, path, model: str, what: str):
         self.path = path
@@ -291,6 +295,12 @@ class KeyValueFile:
     def number(self, key) -> float:
         return self.convert(key, self.text(key), float)
 
+    def positive(self, key) -> float:
+        value = self.number(key)
+        if not value > 0:
+            raise DataFormatError(f"{self.path}: {key} must be positive, got {value!r}")
+        return value
+
     def integer(self, key) -> int:
         return self.convert(key, self.text(key), int)
 
@@ -318,7 +328,14 @@ def load_samples(path) -> Dataset:
 
 
 def save_samples(dataset: Dataset, path) -> None:
-    """Write a Dataset back to the labeled-sample CSV format."""
+    """Write a Dataset back to the labeled-sample CSV format, ten significant
+    digits per feature.  A value that those digits round beyond the float
+    range (from ~1.7976931345e308 in magnitude) raises DataFormatError
+    naming the sample, since the file could not be read back."""
+    for i in np.flatnonzero((np.abs(dataset.features) >= 1e308).any(axis=1)).tolist():
+        if not all(math.isfinite(float("%.10g" % v)) for v in dataset.features[i]):
+            raise DataFormatError(f"sample {i + 1}: a feature value is too large in magnitude "
+                                  "to write in ten significant digits")
     row = "%.10g," * dataset.features.shape[1] + "%s\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(list(dataset.attribute_names) + [LABEL_COLUMN]) + "\n"
@@ -373,23 +390,16 @@ def build_training_table(series: RawSeries) -> Dataset:
 def _require_increasing_days(dates) -> None:
     """Raise DataFormatError naming the first date that is not an exact
     YYYY-MM-DD day after the date before it."""
-    text = np.array(dates, dtype=str)
-    try:
-        days = text.astype("datetime64[D]")
-        if (not np.isnat(days).any() and (np.datetime_as_string(days) == text).all()
-                and (np.diff(days) > np.timedelta64(0)).all()):
-            return
-    except ValueError:  # a date does not parse; the loop below names it
-        pass
     for t, date in enumerate(dates):
         try:
-            day = np.datetime64(date, "D")
+            day = datetime.date.fromisoformat(date)
         except ValueError:
-            day = np.datetime64("NaT")
-        if np.isnat(day) or str(day) != date or t and not day > np.datetime64(dates[t - 1]):
+            day = None
+        if day is None or day.isoformat() != date or t and not day > previous:
             after = f" after {dates[t - 1]!r}" if t else ""
             raise DataFormatError(f"date {date!r}{after}: dates must be YYYY-MM-DD days "
                                   "in increasing order")
+        previous = day
 
 
 def stratified_folds(dataset: Dataset, k: int, seed: int) -> FoldAssignment:

@@ -1,5 +1,6 @@
 """Naive Bayes classifier: frequency or uniform priors and one Gaussian per
 (class, attribute), for continuous attributes such as daily percent changes.
+A model is two priors and two (2, d) arrays, ``mu`` and ``sigma``.
 
 The Gaussians are fitted with one of two estimators:
 
@@ -8,7 +9,8 @@ The Gaussians are fitted with one of two estimators:
     precision (the mean gap between consecutive distinct values); values are
     rounded to the nearest multiple of that precision before the mean and
     population standard deviation are taken, and the deviation is floored at
-    precision / 6.  Training-time only — prediction never rounds inputs.
+    precision / 6.  Training-time only — prediction never rounds inputs, and
+    a model file records only ``estimator = rounded``, not the precisions.
 
 ``plain``
     Arithmetic mean and population standard deviation of the raw values.
@@ -17,11 +19,12 @@ Scores are accumulated in log space and normalized by max-subtraction, so
 wide schemas and extreme feature values cannot overflow.  Priors and
 posteriors are over the two classes of ``dataset.CLASS_LABELS``, in that
 order; :func:`predict_proba` is the prediction path, one row per sample.
+Model files are ``dataset.KeyValueFile`` text; every sigma must be positive.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,27 +39,15 @@ DEFAULT_PRECISION = 0.01
 
 
 @dataclass(frozen=True)
-class GaussianParams:
-    """Mean and standard deviation of one (class, attribute) Gaussian."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if not (self.sigma > 0 and math.isfinite(self.sigma) and math.isfinite(self.mu)):
-            raise DataFormatError("sigma must be positive and parameters finite")
-
-
-@dataclass(frozen=True)
 class NaiveBayesModel:
-    priors: np.ndarray  # aligned with CLASS_LABELS
-    attribute_names: tuple
-    gaussians: dict  # (class_index, attr_index) -> GaussianParams
-    precisions: dict = field(default_factory=dict)  # attr_index -> rounding precision
-    estimator: str = "rounded"
+    """Priors (2,) and Gaussian means and deviations (2, d), rows aligned with
+    CLASS_LABELS and columns with ``attribute_names``."""
 
-    def n_attributes(self) -> int:
-        return len(self.attribute_names)
+    priors: np.ndarray
+    attribute_names: tuple
+    mu: np.ndarray
+    sigma: np.ndarray  # positive
+    estimator: str = "rounded"
 
 
 def estimate_priors(dataset: Dataset) -> np.ndarray:
@@ -101,26 +92,24 @@ def train(dataset: Dataset, *, priors: str = "frequency",
 
     labels = np.array(dataset.labels)
     masks = [labels == c for c in CLASS_LABELS]
-    gaussians = {}
-    precisions = {}
+    mu = np.empty((len(CLASS_LABELS), dataset.features.shape[1]))
+    sigma = np.empty_like(mu)
     for ai, name in enumerate(dataset.attribute_names):
         column, floor = dataset.features[:, ai], SIGMA_FLOOR
         with np.errstate(all="ignore"):  # a non-finite fit is reported below
             if estimator == "rounded":
-                precisions[ai] = attribute_precision(column)
-                column = round_to_precision(column, precisions[ai])
-                floor = max(SIGMA_FLOOR, precisions[ai] / 6.0)
+                precision = attribute_precision(column)
+                column = round_to_precision(column, precision)
+                floor = max(SIGMA_FLOOR, precision / 6.0)
             for ci, mask in enumerate(masks):
                 vals = column[mask]
-                mu, sigma = float(vals.mean()), float(vals.std())
-                if not (math.isfinite(mu) and math.isfinite(sigma)):
+                mu[ci, ai], sigma[ci, ai] = vals.mean(), max(vals.std(), floor)
+                if not (math.isfinite(mu[ci, ai]) and math.isfinite(sigma[ci, ai])):
                     raise DataFormatError(
                         f"attribute {name}, class {CLASS_LABELS[ci]}: no finite "
                         "Gaussian fit; a feature value is too large in magnitude"
                     )
-                gaussians[(ci, ai)] = GaussianParams(mu, max(sigma, floor))
-    return NaiveBayesModel(prior_vec, dataset.attribute_names, gaussians, precisions,
-                           estimator)
+    return NaiveBayesModel(prior_vec, dataset.attribute_names, mu, sigma, estimator)
 
 
 def predict_proba(model: NaiveBayesModel, X) -> np.ndarray:
@@ -133,19 +122,16 @@ def predict_proba(model: NaiveBayesModel, X) -> np.ndarray:
     depend on the batch it is in.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.n_attributes():
-        raise DataFormatError(
-            f"samples have shape {X.shape[1:]}, model expects {model.n_attributes()} features"
-        )
+    d = model.mu.shape[1]
+    if X.ndim != 2 or X.shape[1] != d:
+        raise DataFormatError(f"samples have shape {X.shape[1:]}, model expects {d} features")
     scores = np.empty((X.shape[0], len(CLASS_LABELS)))
     scores[:] = np.log(model.priors)
-    for ci in range(len(CLASS_LABELS)):
-        column = scores[:, ci]
-        for ai in range(model.n_attributes()):
-            params = model.gaussians[(ci, ai)]
+    for ci, column in enumerate(scores.T):
+        for ai, (mu, sigma) in enumerate(zip(model.mu[ci].tolist(), model.sigma[ci].tolist())):
             with np.errstate(over="ignore"):  # an overflow is reported below
-                z = (X[:, ai] - params.mu) / params.sigma
-                column += -0.5 * z * z - math.log(math.sqrt(2.0 * math.pi) * params.sigma)
+                z = (X[:, ai] - mu) / sigma
+                column += -0.5 * z * z - math.log(math.sqrt(2.0 * math.pi) * sigma)
     top = scores.max(axis=1, keepdims=True)
     bad = np.flatnonzero(~np.isfinite(top))
     if bad.size:  # every class's score overflowed to -inf, or a feature is NaN
@@ -165,41 +151,28 @@ def predict_distribution(model: NaiveBayesModel, x) -> np.ndarray:
 
 def save_model(model: NaiveBayesModel, path) -> None:
     """Serialize as flat ``key = value`` text, round-trip safe to 17 digits."""
-    lines = KeyValueFile.header("nb") + [
+    lines = [
         f"classes = {','.join(CLASS_LABELS)}",
         f"attributes = {','.join(model.attribute_names)}",
         f"estimator = {model.estimator}",
-    ]
+    ] + [f"prior.{c} = {p:.17g}" for c, p in zip(CLASS_LABELS, model.priors)]
     for ci, c in enumerate(CLASS_LABELS):
-        lines.append(f"prior.{c} = {model.priors[ci]:.17g}")
-    for ai in sorted(model.precisions):
-        lines.append(f"precision.{model.attribute_names[ai]} = {model.precisions[ai]:.17g}")
-    for (ci, ai), params in sorted(model.gaussians.items()):
-        key = f"gaussian.{CLASS_LABELS[ci]}.{model.attribute_names[ai]}"
-        lines.append(f"{key}.mu = {params.mu:.17g}")
-        lines.append(f"{key}.sigma = {params.sigma:.17g}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for ai, a in enumerate(model.attribute_names):
+            lines.append(f"gaussian.{c}.{a}.mu = {model.mu[ci, ai]:.17g}")
+            lines.append(f"gaussian.{c}.{a}.sigma = {model.sigma[ci, ai]:.17g}")
+    KeyValueFile.write(path, "nb", lines)
 
 
 def load_model(path) -> NaiveBayesModel:
     """Inverse of :func:`save_model`.  A missing, malformed or extra entry, a
-    ``classes`` line other than ``UP,DOWN`` or a prior that is not positive
-    raises DataFormatError."""
+    ``classes`` line other than ``UP,DOWN``, or a prior or sigma that is not
+    positive raises DataFormatError."""
     f = KeyValueFile(path, "nb", "a naive Bayes")
     f.choice("classes", (",".join(CLASS_LABELS),))
     attribute_names = tuple(f.text("attributes").split(","))
     estimator = f.choice("estimator", ("rounded", "plain"))
-    priors = np.array([f.number(f"prior.{c}") for c in CLASS_LABELS])
-    if not (priors > 0).all():
-        raise DataFormatError(f"{path}: priors must be positive")
-    precisions = {}
-    if estimator == "rounded":
-        precisions = {ai: f.number(f"precision.{a}") for ai, a in enumerate(attribute_names)}
-    gaussians = {
-        (ci, ai): GaussianParams(f.number(f"gaussian.{c}.{a}.mu"),
-                                 f.number(f"gaussian.{c}.{a}.sigma"))
-        for ci, c in enumerate(CLASS_LABELS) for ai, a in enumerate(attribute_names)
-    }
+    priors = np.array([f.positive(f"prior.{c}") for c in CLASS_LABELS])
+    cells = np.array([[(f.number(f"gaussian.{c}.{a}.mu"), f.positive(f"gaussian.{c}.{a}.sigma"))
+                       for a in attribute_names] for c in CLASS_LABELS])
     f.finish()
-    return NaiveBayesModel(priors, attribute_names, gaussians, precisions, estimator)
+    return NaiveBayesModel(priors, attribute_names, cells[..., 0], cells[..., 1], estimator)

@@ -374,7 +374,7 @@ def hard_distribution(model: SvmModel, x) -> np.ndarray:
 
 def save_model(model: SvmModel, path) -> None:
     """Serialize as flat ``key = value`` text, round-trip safe to 17 digits."""
-    lines = KeyValueFile.header("svm") + [f"kernel = {model.kernel.kind}"]
+    lines = [f"kernel = {model.kernel.kind}"]
     if model.kernel.degree is not None:
         lines.append(f"degree = {model.kernel.degree}")
     if model.kernel.delta_sq is not None:
@@ -392,8 +392,7 @@ def save_model(model: SvmModel, path) -> None:
         lines.append(f"sv.{i}.alpha = {a:.17g}")
         lines.append(f"sv.{i}.label = {int(y_)}")
         lines.append(f"sv.{i}.x = {','.join(format(t, '.17g') for t in v)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    KeyValueFile.write(path, "svm", lines)
 
 
 def load_model(path) -> SvmModel:

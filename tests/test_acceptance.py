@@ -62,7 +62,7 @@ def test_criterion_1_gaussian_parameter_reproduction(market_data):
     for ai, attr in enumerate(ds.ATTRIBUTE_NAMES):
         for ci, cls in enumerate(ds.CLASS_LABELS):
             mu, sigma = REFERENCE_PARAMS[(attr, cls)]
-            got = model.gaussians[(ci, ai)]
+            got = np.rec.fromarrays((model.mu, model.sigma), names="mu,sigma")[ci, ai]
             if abs(got.mu - mu) > 1e-3:
                 mismatches.append(f"{attr}/{cls} mu {got.mu:.4f} vs {mu}")
             if abs(got.sigma - sigma) > 1e-3:

@@ -84,6 +84,20 @@ def test_ingest_percent_change_beyond_float_range_exits_2(tmp_path, capsys):
     assert "Warning" not in err
 
 
+def test_ingest_change_beyond_ten_digit_float_range_exits_2(tmp_path, capsys):
+    # a finite 1.7976931348e308 % change, which "%.10g" would write as
+    # 1.797693135e+308, beyond the float range
+    rows = [(f"2010-01-0{d}",) + ROW[1:] for d in (4, 5, 6, 7)]
+    rows[0] = rows[0][:1] + ("1",) + rows[0][2:]
+    rows[1] = rows[1][:1] + ("1.7976931348e306",) + rows[1][2:]
+    raw, out = tmp_path / "raw.csv", tmp_path / "o.csv"
+    raw.write_text(raw_csv_text(rows))
+    assert run("ingest", "--data", str(raw), "--output", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "sample 1: a feature value is too large" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_ingest_missing_input_is_io_error(tmp_path):
     assert run("ingest", "--data", str(tmp_path / "nope.csv"),
                "--output", str(tmp_path / "out.csv")) == 3

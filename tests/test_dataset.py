@@ -118,6 +118,19 @@ def test_save_load_round_trip(market_data, tmp_path):
     assert market_data.labels == again.labels
 
 
+def test_save_samples_near_float_max(tmp_path):
+    path = tmp_path / "large.csv"
+    data = ds.Dataset([[1.797693134e308, -1.797693134e308, 0, 0, 0, 0]], (ds.UP,))
+    ds.save_samples(data, path)
+    np.testing.assert_array_equal(ds.load_samples(path).features, data.features)
+    # ten significant digits round 1.7976931348e308 up to 1.797693135e+308 = inf
+    data = ds.Dataset(np.vstack([data.features, [0, 0, 0, 0, 0, -1.7976931348e308]]),
+                      (ds.UP, ds.DOWN))
+    with pytest.raises(DataFormatError, match="sample 2: a feature value is too large"):
+        ds.save_samples(data, tmp_path / "beyond.csv")
+    assert not (tmp_path / "beyond.csv").exists()
+
+
 # ---------------------------------------------------------- build_training_table
 def test_three_day_doubling_series():
     rows = [

@@ -1,6 +1,9 @@
-"""Strict model files: a model file with a line deleted or a value corrupted
-either loads into an equal model or raises DataFormatError, and `predict`
-exits 0 with the original output or 2, never with a traceback."""
+"""Strict model files: a model file with a line deleted, a value corrupted or
+a key renamed, duplicated, truncated or re-cased either loads into an equal
+model or raises DataFormatError, and `predict` exits 0 with the original
+output or 2, never with a traceback."""
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +52,34 @@ def test_mutated_model_file_loads_equal_or_raises(saved_models, tmp_path_factory
         del lines[i]
     else:
         lines[i] = lines[i].partition(" = ")[0] + " = " + data.draw(st.sampled_from(BAD_VALUES))
+    _check_loads_equal_or_exits_2(module, lines, text, predicted, tmp_path_factory)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mutated_key_name_loads_equal_or_raises(saved_models, tmp_path_factory, data):
+    module, text, predicted = data.draw(st.sampled_from(saved_models))
+    lines = text.splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    key, _, value = lines[i].partition(" = ")
+    edit = data.draw(st.sampled_from(["rename", "duplicate", "truncate", "recase"]))
+    if edit == "duplicate":
+        lines.insert(data.draw(st.integers(0, len(lines))), lines[i])
+    else:
+        if edit == "rename":  # to another key of the file, or to new text
+            key = data.draw(st.sampled_from([line.partition(" = ")[0] for line in lines])
+                            | st.text("abcxC._-UPDOWN01 ", max_size=10))
+        elif edit == "truncate":
+            key = key[:data.draw(st.integers(0, len(key) - 1))]
+        else:
+            key = data.draw(st.sampled_from([key.upper(), key.lower(), key.swapcase()]))
+        lines[i] = f"{key} = {value}"
+    _check_loads_equal_or_exits_2(module, lines, text, predicted, tmp_path_factory)
+
+
+def _check_loads_equal_or_exits_2(module, lines, text, predicted, tmp_path_factory):
+    """A model file of ``lines`` either loads into the model saved as ``text``
+    and predicts as it did, or fails to load and makes `predict` exit 2."""
     work = tmp_path_factory.mktemp("mutated")
     path = work / "mutated.model"
     path.write_text("\n".join(lines) + "\n")
@@ -101,6 +132,20 @@ def test_undecodable_model_file_exits_2(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "-0"])
+def test_nb_sigma_not_positive_exits_2_naming_file_and_key(saved_models, tmp_path, capsys, value):
+    key = "gaussian.UP.NK.sigma"
+    path = tmp_path / "sigma.model"
+    path.write_text(re.sub(f"^{re.escape(key)} = .*$", f"{key} = {value}", saved_models[0][1],
+                           flags=re.M))
+    message = f"{path}: {key} must be positive, got {float(value)!r}"
+    with pytest.raises(DataFormatError, match=re.escape(message)):
+        nb.load_model(path)
+    assert cli.main(["predict", "--model-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 UNVERSIONED_NB = """model = nb
 classes = UP,DOWN
 attributes = NK
@@ -115,24 +160,42 @@ gaussian.DOWN.NK.mu = 1
 gaussian.DOWN.NK.sigma = 1
 """
 
+#: The format-1 layout: a rounded model also carried its training-only
+#: rounding precision per attribute.
+FORMAT_1_NB = """model = nb
+format = 1
+classes = UP,DOWN
+attributes = NK
+estimator = rounded
+prior.UP = 0.5
+prior.DOWN = 0.5
+precision.NK = 0.01
+gaussian.UP.NK.mu = 0
+gaussian.UP.NK.sigma = 1
+gaussian.DOWN.NK.mu = 1
+gaussian.DOWN.NK.sigma = 1
+"""
 
-@pytest.mark.parametrize("edit", ["missing", "0", "2", "unversioned"])
+
+@pytest.mark.parametrize("edit", ["missing", "0", "1", "3", "unversioned"])
 @pytest.mark.parametrize("kind", ["nb", "svm"])
 def test_other_model_file_formats_exit_2_naming_the_format(saved_models, kind, edit, tmp_path,
                                                            capsys):
     module, text, _ = next(m for m in saved_models if m[1].startswith(f"model = {kind}\n"))
-    assert text.splitlines()[1] == "format = 1"
+    assert text.splitlines()[1] == "format = 2"
     if edit == "unversioned":
         # the layout before format 1: no format line, and NB kinds/smoothing lines
-        edited = UNVERSIONED_NB if kind == "nb" else text.replace("format = 1\n", "")
+        edited = UNVERSIONED_NB if kind == "nb" else text.replace("format = 2\n", "")
+    elif edit == "1" and kind == "nb":
+        edited = FORMAT_1_NB
     elif edit == "missing":
-        edited = text.replace("format = 1\n", "")
+        edited = text.replace("format = 2\n", "")
     else:
-        edited = text.replace("format = 1\n", f"format = {edit}\n")
+        edited = text.replace("format = 2\n", f"format = {edit}\n")
     path = tmp_path / "other.model"
     path.write_text(edited)
-    found = f"'{edit}'" if edit in ("0", "2") else "none"
-    message = f"expected model-file format 1, found {found}"
+    found = "none" if edit in ("missing", "unversioned") else f"'{edit}'"
+    message = f"expected model-file format 2, found {found}"
     with pytest.raises(DataFormatError, match=message):
         module.load_model(path)
     assert cli.main(["predict", "--model-file", str(path)]) == 2

@@ -61,25 +61,22 @@ def test_rounded_estimator_matches_independent_recomputation(market_data):
             rounded = np.rint(column[labels == c] / precision) * precision
             mu = rounded.mean()
             sigma = max(rounded.std(), precision / 6)
-            got = model.gaussians[(ci, ai)]
-            assert got.mu == pytest.approx(mu, abs=1e-12)
-            assert got.sigma == pytest.approx(sigma, abs=1e-12)
+            assert model.mu[ci, ai] == pytest.approx(mu, abs=1e-12)
+            assert model.sigma[ci, ai] == pytest.approx(sigma, abs=1e-12)
 
 
 def test_fixture_headline_parameters(market_data):
     """First attribute, first class: the canonical spot check at 4 decimals."""
     model = nb.train(market_data)
-    params = model.gaussians[(0, 0)]  # (UP, NK)
-    assert round(params.mu, 4) == 0.0956
-    assert round(params.sigma, 4) == 1.5406
+    assert round(model.mu[0, 0], 4) == 0.0956  # (UP, NK)
+    assert round(model.sigma[0, 0], 4) == 1.5406
 
 
 def test_plain_estimator_degenerate_class():
     data = toy_dataset([[2.0, 7.0]] * 3, [[5.0, 1.0]] * 4)
     model = nb.train(data, estimator="plain")
-    for (ci, ai), params in model.gaussians.items():
-        assert params.sigma == nb.SIGMA_FLOOR
-        assert params.mu == data.features[0 if ci == 0 else 3, ai]
+    assert (model.sigma == nb.SIGMA_FLOOR).all()
+    np.testing.assert_array_equal(model.mu, data.features[[0, 3]])
 
 
 # ---------------------------------------------------------- predict_distribution
@@ -124,10 +121,10 @@ def _per_row_reference(model, x):
     then each attribute's log-likelihood added in attribute order."""
     scores = np.log(model.priors).copy()
     for ci in range(len(ds.CLASS_LABELS)):
-        for ai in range(model.n_attributes()):
-            params = model.gaussians[(ci, ai)]
-            z = (float(x[ai]) - params.mu) / params.sigma
-            scores[ci] += -0.5 * z * z - math.log(math.sqrt(2.0 * math.pi) * params.sigma)
+        for ai in range(len(model.attribute_names)):
+            mu, sigma = float(model.mu[ci, ai]), float(model.sigma[ci, ai])
+            z = (float(x[ai]) - mu) / sigma
+            scores[ci] += -0.5 * z * z - math.log(math.sqrt(2.0 * math.pi) * sigma)
     scores -= scores.max()
     weights = np.exp(scores)
     return weights / weights.sum()
@@ -199,10 +196,11 @@ def test_model_round_trip(market_data, tmp_path):
     nb.save_model(model, path)
     again = nb.load_model(path)
     assert "\nclasses = UP,DOWN\n" in path.read_text()
+    assert "precision." not in path.read_text()  # rounding is training-only
     assert again.estimator == model.estimator
     np.testing.assert_array_equal(again.priors, model.priors)
-    for key, params in model.gaussians.items():
-        assert again.gaussians[key] == params
+    np.testing.assert_array_equal(again.mu, model.mu)
+    np.testing.assert_array_equal(again.sigma, model.sigma)
     rng = np.random.default_rng(2)
     for _ in range(10):
         x = rng.normal(size=6)
