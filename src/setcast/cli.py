@@ -111,18 +111,26 @@ def _make_learner(args, kind):
     return evaluation.SvmLearner(_kernel_from_args(args), _config_from_args(args))
 
 
+def _positive(args, name):
+    """The value of the flag ``--name`` (dashes for underscores), which must
+    be > 0."""
+    value = getattr(args, name)
+    if not value > 0:
+        raise DataFormatError(f"--{name.replace('_', '-')} must be > 0, got {value!r}")
+    return value
+
+
 def _kernel_from_args(args) -> svm.KernelSpec:
     if args.kernel == svm.POLY:
-        return svm.polynomial_kernel(args.degree)
+        return svm.polynomial_kernel(_positive(args, "degree"))
     if args.kernel == svm.RBF:
-        return svm.rbf_kernel(args.delta_sq)
+        return svm.rbf_kernel(_positive(args, "delta_sq"))
     return svm.linear_kernel()
 
 
 def _config_from_args(args) -> svm.TrainerConfig:
-    return svm.TrainerConfig(
-        C=args.cost, kkt_tol=args.kkt_tol, max_passes=args.max_passes
-    )
+    return svm.TrainerConfig(C=_positive(args, "cost"), kkt_tol=_positive(args, "kkt_tol"),
+                             max_passes=_positive(args, "max_passes"))
 
 
 def _config_lines(args, *, model=None) -> list:

@@ -295,8 +295,9 @@ class KeyValueFile:
     def number(self, key) -> float:
         return self.convert(key, self.text(key), float)
 
-    def positive(self, key) -> float:
-        value = self.number(key)
+    def positive(self, key, kind=float):
+        """``key`` as a positive float, or int for ``kind=int``."""
+        value = self.convert(key, self.text(key), kind)
         if not value > 0:
             raise DataFormatError(f"{self.path}: {key} must be positive, got {value!r}")
         return value

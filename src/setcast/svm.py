@@ -11,10 +11,17 @@ computed from the free support vectors always satisfies the KKT conditions
 within the configured tolerance on convergence.
 
 Each iteration costs O(n) in-place vector work.  The solver keeps
-g_i = sum_j alpha_j y_j K_ij and the violation vector F = y - g, and marks
-the up and low index sets with 0 / -inf (0 / +inf) penalty vectors.  Only
-alpha_i and alpha_j of the chosen pair move, so g changes by two kernel rows,
-F is recomputed from g as y - g, and set membership changes only at i and j.
+g_i = sum_j alpha_j y_j K_ij and two vectors that mark the index sets: y_up
+holds y_i on the up set and -inf elsewhere, y_low holds y_i on the low set and
++inf elsewhere.  y_up - g and y_low - g are then the violations F = y - g
+restricted to each set, whose argmax and argmin give the pair.  Only alpha_i
+and alpha_j move, so g changes by two kernel rows and set membership changes
+only at i and j.
+
+A fit holds one n x n kernel matrix, 8n^2 bytes, and no other n x n array: the
+RBF kernel is built in place with one block of rows as its only temporary.
+A caller that fits many times, such as the cross-validation learner, passes
+one ``buffer`` that every fit's kernel matrix reuses.
 
 Class mapping is fixed: UP -> +1, DOWN -> -1, and a decision value of exactly
 zero classifies as DOWN.  :func:`decision_values` and :func:`predict_proba`
@@ -35,8 +42,9 @@ LINEAR = "linear"
 POLY = "poly"
 RBF = "rbf"
 
-#: Size of the kernel block decision_values evaluates at once.
-KERNEL_BLOCK_BYTES = 1 << 20
+#: Size of a kernel block: the rows decision_values evaluates at once, and
+#: the rows of |x|^2 + |z|^2 an RBF kernel_matrix holds at once.
+KERNEL_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -131,26 +139,36 @@ def kernel_eval(spec: KernelSpec, x, z) -> float:
     return float(np.exp(-(diff @ diff) / spec.delta_sq))
 
 
-def kernel_matrix(spec: KernelSpec, X, Z) -> np.ndarray:
-    """Kernel evaluations between the rows of X (n, d) and Z (m, d)."""
+def kernel_matrix(spec: KernelSpec, X, Z, buffer=None) -> np.ndarray:
+    """Kernel evaluations between the rows of X (n, d) and Z (m, d).
+
+    With ``buffer``, a flat float64 array of at least n*m items, the result
+    is written into its first n*m items and returned as an (n, m) view."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     if X.shape[1] != Z.shape[1]:
         raise DataFormatError(f"dimension mismatch: {X.shape[1]} vs {Z.shape[1]}")
-    inner = X @ Z.T
+    n, m = len(X), len(Z)
+    inner = np.matmul(X, Z.T, out=None if buffer is None else buffer[:n * m].reshape(n, m))
     if spec.kind == LINEAR:
         return inner
     if spec.kind == POLY:
-        return (inner + 1.0) ** spec.degree
+        inner += 1.0
+        inner **= spec.degree
+        return inner
     # In place, in the association order of
-    # exp(-max(|x|^2 + |z|^2 - 2 x.z, 0) / delta_sq): two (n, m) arrays.
-    sq = (X * X).sum(axis=1)[:, None] + (Z * Z).sum(axis=1)[None, :]
+    # exp(-max(|x|^2 + |z|^2 - 2 x.z, 0) / delta_sq): the only temporary is
+    # one block of rows of |x|^2 + |z|^2.
+    xx, zz = (X * X).sum(axis=1), (Z * Z).sum(axis=1)
     inner *= 2.0
-    sq -= inner
-    np.maximum(sq, 0.0, out=sq)
-    np.negative(sq, out=sq)
-    sq /= spec.delta_sq
-    return np.exp(sq, out=sq)
+    rows = max(1, KERNEL_BLOCK_BYTES // (8 * max(m, 1)))
+    for start in range(0, n, rows):
+        block = inner[start:start + rows]
+        np.subtract(xx[start:start + rows, None] + zz[None, :], block, out=block)
+    np.maximum(inner, 0.0, out=inner)
+    np.negative(inner, out=inner)
+    inner /= spec.delta_sq
+    return np.exp(inner, out=inner)
 
 
 def labels_to_pm1(labels) -> np.ndarray:
@@ -159,8 +177,12 @@ def labels_to_pm1(labels) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises instead
-def train_smo(dataset: Dataset, kernel: KernelSpec, config: TrainerConfig) -> SvmModel:
+def train_smo(dataset: Dataset, kernel: KernelSpec, config: TrainerConfig,
+              buffer=None) -> SvmModel:
     """Solve the dual problem on a two-class dataset.
+
+    The n x n kernel matrix goes into ``buffer`` when one is given (see
+    :func:`kernel_matrix`); no reference to it outlives the call.
 
     Raises TrainingError when only one class is present or fewer than two
     samples exist, and DataFormatError when the kernel matrix or the fitted
@@ -175,30 +197,29 @@ def train_smo(dataset: Dataset, kernel: KernelSpec, config: TrainerConfig) -> Sv
         raise TrainingError(f"single-class training data: {counts}")
     X = dataset.features
     y = labels_to_pm1(dataset.labels)
-    K = kernel_matrix(kernel, X, X)  # bitwise symmetric: row K[i] is column i
+    K = kernel_matrix(kernel, X, X, buffer)  # bitwise symmetric: row K[i] is column i
     _require_finite(K, dataset, kernel)
-    diag = K.diagonal()
     C, tol = config.C, config.kkt_tol
 
     g = np.zeros(n)  # g_i = sum_j alpha_j y_j K_ij
-    F = y - g
     up, low = _index_sets(np.zeros(n), y, C)
-    up_pen = np.where(up, 0.0, -np.inf)
-    low_pen = np.where(low, 0.0, np.inf)
+    y_up = np.where(up, y, -np.inf)
+    y_low = np.where(low, y, np.inf)
     Fu, Fl, step_i, step_j = (np.empty(n) for _ in range(4))
     # Python floats while the loop runs: scalar reads of lists are cheaper
-    a, ys = [0.0] * n, y.tolist()
+    a, ys, diag = [0.0] * n, y.tolist(), K.diagonal().tolist()
     snap = 1e-10 * max(1.0, C)
     budget = config.max_passes * n
     converged = False
     for _ in range(budget):
-        np.add(F, up_pen, out=Fu)
-        np.add(F, low_pen, out=Fl)
+        np.subtract(y_up, g, out=Fu)
+        np.subtract(y_low, g, out=Fl)
         i = int(Fu.argmax())
         j = int(Fl.argmin())
         # an empty up (low) set leaves -inf (+inf) here, so the gap test
         # also stops on it
-        if Fu[i] - Fl[j] <= tol:
+        gap = Fu.item(i) - Fl.item(j)
+        if gap <= tol:
             converged = True
             break
         yi, yj = ys[i], ys[j]
@@ -210,9 +231,9 @@ def train_smo(dataset: Dataset, kernel: KernelSpec, config: TrainerConfig) -> Sv
             lo, hi = max(0.0, ai_old + aj_old - C), min(C, ai_old + aj_old)
         if lo >= hi:
             break  # most violating pair cannot move: genuinely stuck
-        eta = diag[i] + diag[j] - 2.0 * K[i, j]
+        eta = diag[i] + diag[j] - 2.0 * K.item(i, j)
         if eta > 0:
-            aj_new = float(min(max(aj_old - yj * (F[i] - F[j]) / eta, lo), hi))
+            aj_new = float(min(max(aj_old - yj * gap / eta, lo), hi))
         else:
             alpha = np.array(a)
             aj_new = lo if _dual_delta(alpha, y, K, i, j, s, lo) >= _dual_delta(
@@ -237,11 +258,10 @@ def train_smo(dataset: Dataset, kernel: KernelSpec, config: TrainerConfig) -> Sv
         np.multiply(K[j], (aj_new - aj_old) * yj, out=step_j)
         step_i += step_j
         g += step_i
-        np.subtract(y, g, out=F)
         a[i], a[j] = ai_new, aj_new
         for k in (i, j):
-            up_pen[k] = 0.0 if (a[k] < C if ys[k] > 0 else a[k] > 0) else -np.inf
-            low_pen[k] = 0.0 if (a[k] > 0 if ys[k] > 0 else a[k] < C) else np.inf
+            y_up[k] = ys[k] if (a[k] < C if ys[k] > 0 else a[k] > 0) else -np.inf
+            y_low[k] = ys[k] if (a[k] > 0 if ys[k] > 0 else a[k] < C) else np.inf
 
     alpha = np.array(a)
     _repair_equality(alpha, y, C)
@@ -255,8 +275,9 @@ def train_smo(dataset: Dataset, kernel: KernelSpec, config: TrainerConfig) -> Sv
 
 def _require_finite(values, dataset, kernel):
     """Raise DataFormatError, naming the attribute of largest magnitude,
-    unless every value is finite."""
-    if not np.isfinite(values).all():
+    unless every value is finite.  min and max propagate NaN and +-inf, so
+    no array of flags is built."""
+    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
         ai = int(np.abs(dataset.features).max(axis=0).argmax())
         raise DataFormatError(
             f"attribute {dataset.attribute_names[ai]}: the {kernel.describe()} SVM fit is "
@@ -399,11 +420,11 @@ def load_model(path) -> SvmModel:
     """Inverse of :func:`save_model`.  A missing, malformed or extra entry
     raises DataFormatError."""
     f = KeyValueFile(path, "svm", "an SVM")
-    kind = f.text("kernel")
+    kind = f.choice("kernel", (LINEAR, POLY, RBF))
     kernel = KernelSpec(
         kind,
-        degree=f.integer("degree") if kind == POLY else None,
-        delta_sq=f.number("delta_sq") if kind == RBF else None,
+        degree=f.positive("degree", int) if kind == POLY else None,
+        delta_sq=f.positive("delta_sq") if kind == RBF else None,
     )
     C, bias = f.number("C"), f.number("bias")
     converged = f.choice("converged", ("true", "false")) == "true"

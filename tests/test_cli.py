@@ -133,6 +133,35 @@ def test_train_warns_when_pass_budget_hit(tmp_path, capsys):
     assert not svm.load_model(path).converged
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--kernel", "rbf", "--delta-sq", "-1"), "--delta-sq must be > 0, got -1.0"),
+    (("--kernel", "poly", "--degree", "0"), "--degree must be > 0, got 0"),
+    (("--cost", "0"), "--cost must be > 0, got 0.0"),
+    (("--kkt-tol", "nan"), "--kkt-tol must be > 0, got nan"),
+    (("--max-passes", "0"), "--max-passes must be > 0, got 0"),
+])
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_invalid_svm_flag_is_named(command, flags, message, tmp_path, capsys):
+    assert run(command, "--model", "svm", *flags, "--output", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("kernel, line, message", [
+    ("rbf", "delta_sq = 0", "delta_sq must be positive, got 0.0"),
+    ("poly", "degree = 0", "degree must be positive, got 0"),
+    ("linear", "kernel = sigmoid", "kernel must be one of ('linear', 'poly', 'rbf'), got 'sigmoid'"),
+])
+def test_invalid_svm_model_key_is_named(kernel, line, message, tmp_path, capsys):
+    path = tmp_path / "svm.model"
+    assert run("train", "--model", "svm", "--kernel", kernel, "--output", str(path)) == 0
+    lines = path.read_text().splitlines()
+    key = line.partition(" = ")[0]
+    lines = [line if entry.startswith(f"{key} = ") else entry for entry in lines]
+    path.write_text("\n".join(lines) + "\n")
+    assert run("predict", "--model-file", str(path)) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 # --------------------------------------------------------------------- predict
 def test_predict_resubstitution_confusion(tmp_path):
     model_path = tmp_path / "nb.model"

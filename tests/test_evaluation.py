@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from setcast import dataset as ds
 from setcast import evaluation as ev
 from setcast import svm
 from setcast.errors import DataFormatError
+
+from conftest import toy_dataset
 
 TOL_3DP = 5.1e-4  # half an ulp at three printed decimals
 
@@ -205,6 +208,39 @@ def test_cross_validate_naive_bayes_frozen(market_data):
 def test_cross_validate_svm_frozen(market_data):
     report, _ = ev.cross_validate(market_data, ev.SvmLearner(), 10, 1)
     assert (report.n, report.correct) == (30, 20)
+
+
+@pytest.mark.parametrize("kernel", [svm.linear_kernel(), svm.rbf_kernel(2.0)],
+                         ids=["linear", "rbf"])
+def test_a_reused_svm_learner_matches_fresh_ones(kernel):
+    # the kernel buffer grows (120 -> 300 rows) and then keeps stale values
+    # beyond the 80-row folds
+    rng = np.random.default_rng(13)
+    learner = ev.SvmLearner(kernel)
+    for n in (120, 300, 80):
+        data = toy_dataset(rng.normal(0.3, 1.0, size=(n // 2, 4)),
+                           rng.normal(-0.3, 1.0, size=(n - n // 2, 4)))
+        reused, _ = ev.cross_validate(data, learner, 10, 3)
+        fresh, _ = ev.cross_validate(data, ev.SvmLearner(kernel), 10, 3)
+        assert ev.render_machine(reused) == ev.render_machine(fresh)
+        model = learner.fit(data)[0].args[0]
+        for field in ("support_vectors", "coefficients", "labels"):
+            assert not np.shares_memory(getattr(model, field), learner._buffer)
+
+
+def test_rbf_cross_validation_holds_one_kernel_matrix():
+    # NumPy reports its buffers to tracemalloc: the ten folds of 900
+    # training rows share one 8 * 900^2-byte kernel matrix
+    rng = np.random.default_rng(12)
+    data = toy_dataset(rng.normal(0.3, 1.0, size=(500, 6)),
+                       rng.normal(-0.3, 1.0, size=(500, 6)))
+    tracemalloc.start()
+    try:
+        ev.cross_validate(data, ev.SvmLearner(svm.rbf_kernel(1.0)), 10, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * 900 ** 2
 
 
 class MemorizingLearner:

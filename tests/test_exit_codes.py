@@ -1,7 +1,8 @@
 """The exit-code contract under mutated inputs: every subcommand, given a
 sample, raw-series, feature or model file with cells, lines or bytes
 mutated, exits 0, 2, 3 or 4 with no exception, no traceback and no warning,
-and an exit 0 writes no NaN."""
+an exit 0 writes no NaN, and an exit 2 names its cause rather than printing
+a kernel or trainer dataclass repr."""
 import contextlib
 import io
 import re
@@ -109,6 +110,10 @@ def mutate(text: str, mutation) -> str:
 @example(target="predict-nb", mutations=[("cell", 6, 1, "-1")])  # prior.DOWN = -1: NaN
 @example(target="predict-poly", mutations=[("cell", 3, 1, "999999999999")])  # degree
 @example(target="predict-features-rbf", mutations=[("cell", 1, 0, "1e300")])  # |x|^2
+# Each example printed a KernelSpec repr before the file and key were named.
+@example(target="predict-rbf", mutations=[("cell", 3, 1, "0")])  # delta_sq = 0
+@example(target="predict-poly", mutations=[("cell", 3, 1, "0")])  # degree = 0
+@example(target="predict-linear", mutations=[("cell", 2, 1, "sigmoid")])  # kernel
 def test_every_subcommand_keeps_the_exit_code_contract(inputs, target, mutations):
     work, texts = inputs
     kind, argv = TARGETS[target]
@@ -129,5 +134,7 @@ def test_every_subcommand_keeps_the_exit_code_contract(inputs, target, mutations
     assert code in (0, 2, 3, 4)
     assert not caught, [str(w.message) for w in caught]
     assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    if code == 2:
+        assert "KernelSpec(" not in err.getvalue() and "TrainerConfig(" not in err.getvalue()
     if code == 0:
         assert not re.search(r"\bnan\b", output.read_text(), re.IGNORECASE)

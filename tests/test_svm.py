@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -411,6 +413,37 @@ def test_kernel_matrix_matches_reference_and_is_symmetric(kernel):
     assert K.tobytes() == np.ascontiguousarray(K.T).tobytes()
 
 
+@pytest.mark.parametrize("kernel", KERNELS + [svm.polynomial_kernel(3)],
+                         ids=lambda k: k.describe())
+def test_kernel_matrix_into_a_reused_buffer(kernel):
+    # 300 x 500 spans ten RBF row blocks; the buffer starts as NaN and then
+    # holds the previous, larger result
+    rng = np.random.default_rng(10)
+    X, Z = rng.normal(size=(300, 4)), rng.normal(size=(500, 4))
+    assert 300 * 500 * 8 > 8 * svm.KERNEL_BLOCK_BYTES
+    buffer = np.full(500 * 500 + 7, np.nan)
+    for A, B in ((Z, Z), (X, Z), (X, X)):
+        got = svm.kernel_matrix(kernel, A, B, buffer)
+        assert np.shares_memory(got, buffer)
+        assert got.tobytes() == svm.kernel_matrix(kernel, A, B).tobytes()
+        assert got.tobytes() == _reference_kernel_matrix(kernel, A, B).tobytes()
+    assert got.tobytes() == np.ascontiguousarray(got.T).tobytes()
+
+
+def test_rbf_fit_holds_one_kernel_matrix():
+    # NumPy reports its buffers to tracemalloc, so the peak counts every
+    # array the fit allocates, whatever the allocator keeps resident
+    n = 500
+    data = _overlapping_problem(11, n=n, d=6)
+    tracemalloc.start()
+    try:
+        svm.train_smo(data, svm.rbf_kernel(1.0), svm.TrainerConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * n * n
+
+
 def test_worst_violation_matches_reference():
     rng = np.random.default_rng(9)
     for C in (0.5, 1.0, 3.0):
@@ -432,17 +465,18 @@ def test_worst_violation_keeps_nan():
 
 
 class _CountingNumpy:
-    """numpy as train_smo sees it, counting np.add calls: two per iteration."""
+    """numpy as train_smo sees it, counting np.subtract calls: two per
+    iteration of the loop (the linear and polynomial kernels call none)."""
 
     def __init__(self):
-        self.adds = 0
+        self.subtracts = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def add(self, *args, **kwargs):
-        self.adds += 1
-        return np.add(*args, **kwargs)
+    def subtract(self, *args, **kwargs):
+        self.subtracts += 1
+        return np.subtract(*args, **kwargs)
 
 
 @pytest.mark.parametrize("kernel", KERNELS[:2], ids=lambda k: k.kind)
@@ -455,6 +489,6 @@ def test_snapped_back_step_ends_the_loop(kernel, monkeypatch):
     monkeypatch.setattr(svm, "np", counting)
     model = svm.train_smo(data, kernel, config)
     monkeypatch.setattr(svm, "np", np)
-    assert counting.adds == 2
+    assert counting.subtracts == 2
     assert not model.converged
     _assert_same_model(model, _reference_train_smo(data, kernel, config))
