@@ -12,10 +12,14 @@ Exit codes: 0 success, 2 usage or precondition violation, 3 I/O failure,
 4 training failure.  The bundled 30-sample dataset is used when --data is
 omitted; the environment variable SETCAST_DATA_DIR points the default lookup
 at a different directory.
+
+Each command imports only the model and evaluation modules it uses, so that
+``ingest`` loads neither model and ``predict`` loads one.
 """
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from importlib import resources
@@ -23,7 +27,6 @@ from importlib import resources
 import numpy as np
 
 from . import dataset as ds
-from . import evaluation, naive_bayes, svm
 from .errors import DataFormatError, TrainingError
 
 DATA_DIR_ENV = "SETCAST_DATA_DIR"
@@ -51,8 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--model", choices=("nb", "svm"), default="nb")
         p.add_argument("--priors", choices=("frequency", "uniform"),
                        default="frequency", help="naive Bayes prior mode")
-        p.add_argument("--kernel", choices=(svm.LINEAR, svm.POLY, svm.RBF),
-                       default=svm.LINEAR)
+        p.add_argument("--kernel", choices=("linear", "poly", "rbf"), default="linear")
         p.add_argument("--degree", type=int, default=2,
                        help="polynomial kernel degree")
         p.add_argument("--delta-sq", type=float, default=1.0,
@@ -106,6 +108,8 @@ def _emit(text: str, output) -> None:
 
 
 def _make_learner(args, kind):
+    from . import evaluation
+
     if kind == "nb":
         return evaluation.NaiveBayesLearner(priors=args.priors)
     return evaluation.SvmLearner(_kernel_from_args(args), _config_from_args(args))
@@ -113,14 +117,25 @@ def _make_learner(args, kind):
 
 def _positive(args, name):
     """The value of the flag ``--name`` (dashes for underscores), which must
-    be > 0."""
-    value = getattr(args, name)
+    be finite and > 0."""
+    value, flag = getattr(args, name), name.replace("_", "-")
     if not value > 0:
-        raise DataFormatError(f"--{name.replace('_', '-')} must be > 0, got {value!r}")
+        raise DataFormatError(f"--{flag} must be > 0, got {value!r}")
+    if not math.isfinite(value):
+        raise DataFormatError(f"--{flag} must be finite and > 0, got {value!r}")
     return value
 
 
-def _kernel_from_args(args) -> svm.KernelSpec:
+def _seed(args) -> int:
+    """The value of ``--seed``, which must be >= 0."""
+    if args.seed < 0:
+        raise DataFormatError(f"--seed must be >= 0, got {args.seed}")
+    return args.seed
+
+
+def _kernel_from_args(args):
+    from . import svm
+
     if args.kernel == svm.POLY:
         return svm.polynomial_kernel(_positive(args, "degree"))
     if args.kernel == svm.RBF:
@@ -128,7 +143,9 @@ def _kernel_from_args(args) -> svm.KernelSpec:
     return svm.linear_kernel()
 
 
-def _config_from_args(args) -> svm.TrainerConfig:
+def _config_from_args(args):
+    from . import svm
+
     return svm.TrainerConfig(C=_positive(args, "cost"), kkt_tol=_positive(args, "kkt_tol"),
                              max_passes=_positive(args, "max_passes"))
 
@@ -154,9 +171,13 @@ def cmd_train(args) -> int:
     if not args.output:
         raise DataFormatError("train requires --output for the model file")
     if args.model == "nb":
+        from . import naive_bayes
+
         model = naive_bayes.train(data, priors=args.priors)
         naive_bayes.save_model(model, args.output)
     else:
+        from . import svm
+
         model = svm.train_smo(data, _kernel_from_args(args), _config_from_args(args))
         svm.save_model(model, args.output)
         if not model.converged:
@@ -168,8 +189,11 @@ def cmd_train(args) -> int:
 def _load_any_model(path):
     """The module that reads and applies a model file, and the model in it."""
     first = ds.read_text(path).partition("\n")[0].strip()
-    module = {"model = nb": naive_bayes, "model = svm": svm}.get(first)
-    if module is None:
+    if first == "model = nb":
+        from . import naive_bayes as module
+    elif first == "model = svm":
+        from . import svm as module
+    else:
         raise DataFormatError(f"{path}: unreadable model file")
     return module, module.load_model(path)
 
@@ -188,9 +212,11 @@ def cmd_predict(args) -> int:
 
 
 def cmd_cv(args) -> int:
+    from . import evaluation
+
     data = ds.load_samples(_data_path(args))
     learner = _make_learner(args, args.model)
-    report, _ = evaluation.cross_validate(data, learner, args.folds, args.seed)
+    report, _ = evaluation.cross_validate(data, learner, args.folds, _seed(args))
     if args.format == "machine":
         header = _config_lines(args, model=learner.describe())
         text = "\n".join(header) + "\n" + evaluation.render_machine(report)
@@ -213,9 +239,12 @@ _COMPARE_ROWS = (
 
 
 def cmd_compare(args) -> int:
+    from . import evaluation
+
     data = ds.load_samples(_data_path(args))
+    seed = _seed(args)
     (nb_report, nb_folds), (svm_report, svm_folds) = (
-        evaluation.cross_validate(data, _make_learner(args, kind), args.folds, args.seed)
+        evaluation.cross_validate(data, _make_learner(args, kind), args.folds, seed)
         for kind in ("nb", "svm"))
     if nb_folds.digest() != svm_folds.digest():
         raise AssertionError("fold assignments diverged between models")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import datetime
 import io
 import math
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,11 +95,10 @@ class FoldAssignment:
         return np.flatnonzero(self.assignment != fold)
 
     def digest(self) -> str:
-        """Short stable fingerprint, for asserting two runs shared one split."""
-        import hashlib
-
+        """Short stable fingerprint, for asserting two runs shared one split:
+        the CRC-32 of the assignment and k, as 8 hex digits."""
         raw = np.asarray(self.assignment, dtype=np.int64).tobytes()
-        return hashlib.sha256(raw + bytes([self.k])).hexdigest()[:12]
+        return f"{zlib.crc32(raw + self.k.to_bytes(8, 'little')):08x}"
 
 
 def percent_change(prev: float, curr: float) -> float:
@@ -403,27 +403,91 @@ def _require_increasing_days(dates) -> None:
         previous = day
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _pcg64_draws(seed: int):
+    """The 32-bit draws of ``np.random.default_rng(seed)``, bit for bit and in
+    order, for a seed >= 0: NumPy's SeedSequence hashes the seed's 32-bit
+    words into a 4-word pool and expands it into the 128-bit PCG64 state and
+    increment; each XSL-RR 128/64 output (O'Neill 2014) yields its low half,
+    then its high half."""
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hash_a = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = hash_a * 0x931E8875 & _M32
+        value = value * hash_a & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_b, out = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_b
+        hash_b = hash_b * 0x58F38DED & _M32
+        value = value * hash_b & _M32
+        out.append(value ^ value >> 16)
+    initstate, initseq = (out[i + 1] << 96 | out[i] << 64 | out[i + 3] << 32 | out[i + 2]
+                          for i in (0, 4))
+    mult, inc = 0x2360ED051FC65DA44385DF649FCCF645, (initseq << 1 | 1) & _M128
+    state = ((inc + initstate) * mult + inc) & _M128
+    while True:
+        state = (state * mult + inc) & _M128
+        rot, x = state >> 122, (state >> 64 ^ state) & _M64
+        x = (x >> rot | x << (64 - rot)) & _M64
+        yield x & _M32
+        yield x >> 32
+
+
+def _shuffle(values: np.ndarray, draws) -> None:
+    """Shuffle ``values`` in place as ``Generator.shuffle`` does: Fisher-Yates
+    from the last item down, each index drawn by masked rejection."""
+    for i in range(len(values) - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        j = next(draws) & mask
+        while j > i:
+            j = next(draws) & mask
+        values[i], values[j] = values[j], values[i]
+
+
 def stratified_folds(dataset: Dataset, k: int, seed: int) -> FoldAssignment:
     """Deterministic stratified fold assignment.
 
-    Samples of each class are shuffled with a generator seeded by ``seed`` and
-    dealt round-robin into the k folds, continuing the deal across classes so
-    fold sizes stay within one of each other and each class spreads evenly.
+    Samples of each class are shuffled by the stream of
+    ``np.random.default_rng(seed)``, reproduced in this module, and dealt
+    round-robin into the k folds, continuing the deal across classes so fold
+    sizes stay within one of each other and each class spreads evenly.
+    ``seed`` is a non-negative integer.
     """
     n = len(dataset)
     if not 2 <= k <= n:
         raise DataFormatError(f"fold count must satisfy 2 <= k <= {n}, got {k}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DataFormatError(f"seed must be a non-negative integer, got {seed!r}")
     counts = dataset.class_counts()
     missing = [c for c, cnt in counts.items() if cnt == 0]
     if missing:
         raise DataFormatError(f"class with zero samples: {missing}")
-    rng = np.random.default_rng(seed)
+    draws = _pcg64_draws(int(seed))
     labels = np.array(dataset.labels)
     assignment = np.empty(n, dtype=int)
     pointer = 0
     for c in CLASS_LABELS:
         idx = np.flatnonzero(labels == c)
-        rng.shuffle(idx)
+        _shuffle(idx, draws)
         assignment[idx] = (pointer + np.arange(len(idx))) % k
         pointer += len(idx)
     return FoldAssignment(k, assignment)

@@ -61,11 +61,13 @@ def estimate_priors(dataset: Dataset) -> np.ndarray:
 
 
 def attribute_precision(values) -> float:
-    """Mean gap between consecutive distinct sorted values of a column."""
-    distinct = np.unique(np.asarray(values, dtype=float))
-    if distinct.size < 2:
+    """Mean gap between consecutive distinct sorted values of a column of
+    non-NaN values: (max - min) / (number of distinct values - 1)."""
+    ordered = np.sort(np.asarray(values, dtype=float), axis=None)
+    distinct = 1 + np.count_nonzero(ordered[1:] != ordered[:-1])
+    if distinct < 2:
         return DEFAULT_PRECISION
-    return float((distinct[-1] - distinct[0]) / (distinct.size - 1))
+    return float((ordered[-1] - ordered[0]) / (distinct - 1))
 
 
 def round_to_precision(values, precision: float):

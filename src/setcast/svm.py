@@ -49,8 +49,9 @@ KERNEL_BLOCK_BYTES = 1 << 17
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel choice: linear x.z, polynomial (x.z + 1)^degree, or
-    RBF exp(-||x - z||^2 / delta_sq)."""
+    """Kernel choice: linear x.z, polynomial (x.z + 1)^degree with an int
+    degree >= 1, or RBF exp(-||x - z||^2 / delta_sq) with a finite
+    delta_sq > 0."""
 
     kind: str
     degree: int | None = None
@@ -62,7 +63,7 @@ class KernelSpec:
         elif self.kind == POLY:
             ok = isinstance(self.degree, int) and self.degree >= 1 and self.delta_sq is None
         elif self.kind == RBF:
-            ok = self.degree is None and self.delta_sq is not None and self.delta_sq > 0
+            ok = self.degree is None and self.delta_sq is not None and 0 < self.delta_sq < math.inf
         else:
             ok = False
         if not ok:
@@ -94,7 +95,8 @@ class TrainerConfig:
 
     ``max_passes`` bounds the optimization effort: each pass performs at most
     n two-variable updates, and the solver stops early once the largest KKT
-    violation falls within ``kkt_tol``.
+    violation falls within ``kkt_tol``.  ``C`` and ``kkt_tol`` are finite and
+    positive.
     """
 
     C: float = 1.0
@@ -102,7 +104,7 @@ class TrainerConfig:
     max_passes: int = 100
 
     def __post_init__(self):
-        if not (self.C > 0 and self.kkt_tol > 0 and self.max_passes >= 1):
+        if not (0 < self.C < math.inf and 0 < self.kkt_tol < math.inf and self.max_passes >= 1):
             raise DataFormatError(f"invalid trainer config {self!r}")
 
 

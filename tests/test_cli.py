@@ -139,6 +139,9 @@ def test_train_warns_when_pass_budget_hit(tmp_path, capsys):
     (("--cost", "0"), "--cost must be > 0, got 0.0"),
     (("--kkt-tol", "nan"), "--kkt-tol must be > 0, got nan"),
     (("--max-passes", "0"), "--max-passes must be > 0, got 0"),
+    (("--kernel", "rbf", "--delta-sq", "inf"), "--delta-sq must be finite and > 0, got inf"),
+    (("--cost", "inf"), "--cost must be finite and > 0, got inf"),
+    (("--kkt-tol", "inf"), "--kkt-tol must be finite and > 0, got inf"),
 ])
 @pytest.mark.parametrize("command", ["train", "cv"])
 def test_invalid_svm_flag_is_named(command, flags, message, tmp_path, capsys):
@@ -425,6 +428,22 @@ def test_module_entry_point_runs_without_warnings():
     assert done.returncode == 0
     assert done.stderr == ""
     assert "correct = 19" in done.stdout
+
+
+def test_model_commands_load_no_rng_masked_arrays_or_openssl(tmp_path):
+    """NB train, cv and compare shuffle, fit and fingerprint folds without
+    numpy.random, numpy.ma or hashlib's OpenSSL binding."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = ("import sys; from setcast.cli import main\n"
+            f"for argv in (['train', '--model', 'nb', '--output', {str(tmp_path / 'nb')!r}],"
+            f" ['cv', '--output', {str(tmp_path / 'cv')!r}],"
+            f" ['compare', '--output', {str(tmp_path / 'compare')!r}]):\n"
+            "    assert main(argv) == 0\n"
+            "print(sorted({'numpy.random', 'numpy.ma', '_hashlib'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
 
 
 # ------------------------------------------------------------------ data lookup

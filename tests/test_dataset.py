@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setcast import dataset as ds
@@ -208,6 +208,9 @@ def test_fold_count_bounds(market_data):
         ds.stratified_folds(market_data, 1, 0)
     with pytest.raises(DataFormatError):
         ds.stratified_folds(market_data, 31, 0)
+    for seed in (-1, 1.0, None):
+        with pytest.raises(DataFormatError, match="seed must be a non-negative integer"):
+            ds.stratified_folds(market_data, 10, seed)
 
 
 @st.composite
@@ -576,9 +579,30 @@ def test_build_training_table_matches_per_day_loop(data):
         assert got[1].labels == want[1].labels
 
 
+@st.composite
+def folds_case(draw):
+    """Labels of random size, class balance and order, a fold count, and a
+    seed from a range wider than PCG64's 128-bit state."""
+    n = draw(st.integers(min_value=2, max_value=2000))
+    n_up = draw(st.integers(min_value=1, max_value=n - 1))
+    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(n)
+    labels = tuple(np.where(order < n_up, ds.UP, ds.DOWN).tolist())
+    return labels, draw(st.integers(min_value=2, max_value=n)), draw(st.integers(0, 2**130 - 1))
+
+
+_MIXED = tuple(np.where(np.random.default_rng(3).random(3000) < 0.4, ds.UP, ds.DOWN).tolist())
+
+
 @settings(max_examples=60, deadline=None)
-@given(labelled_and_k())
+@given(folds_case())
+@example((_MIXED, 10, 0))
+@example((_MIXED, 10, 2**32 - 1))
+@example((_MIXED, 300, 2**32))
+@example((_MIXED, 10, 2**64 + 5))
+@example((_MIXED, 7, 2**128 + 17))
+@example((_MIXED, 3000, 2**200 + 3))
 def test_folds_match_per_sample_deal(case):
+    """stratified_folds' own PCG64 stream shuffles as NumPy's default_rng."""
     labels, k, seed = case
     data = ds.Dataset(np.zeros((len(labels), 1)), tuple(labels), ("x",))
     np.testing.assert_array_equal(ds.stratified_folds(data, k, seed).assignment,

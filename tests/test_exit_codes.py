@@ -8,6 +8,7 @@ import io
 import re
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -138,3 +139,21 @@ def test_every_subcommand_keeps_the_exit_code_contract(inputs, target, mutations
         assert "KernelSpec(" not in err.getvalue() and "TrainerConfig(" not in err.getvalue()
     if code == 0:
         assert not re.search(r"\bnan\b", output.read_text(), re.IGNORECASE)
+
+
+@pytest.mark.parametrize("command", ["cv", "compare"])
+def test_negative_seed_exits_2_naming_the_flag(command, capsys):
+    assert cli.main([command, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("folds", [255, 256, 300])
+def test_every_fold_count_up_to_n_runs(folds, tmp_path):
+    rng = np.random.default_rng(8)
+    path = tmp_path / "samples.csv"
+    ds.save_samples(ds.Dataset(rng.normal(size=(300, 6)), tuple(
+        np.where(rng.random(300) < 0.5, ds.UP, ds.DOWN).tolist())), path)
+    output = tmp_path / "report"
+    assert cli.main(["cv", "--model", "nb", "--data", str(path), "--folds", str(folds),
+                     "--format", "machine", "--output", str(output)]) == 0
+    assert re.search(r"^fold_digest = [0-9a-f]{8}$", output.read_text(), re.MULTILINE)

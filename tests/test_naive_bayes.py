@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setcast import dataset as ds
@@ -40,6 +40,29 @@ def test_uniform_priors_option(market_data):
 def test_attribute_precision():
     assert nb.attribute_precision([1.0, 2.0, 4.0]) == pytest.approx(1.5)
     assert nb.attribute_precision([2.0, 2.0]) == nb.DEFAULT_PRECISION
+
+
+def _unique_precision(values):
+    """attribute_precision as np.unique gives it, the reference."""
+    distinct = np.unique(np.asarray(values, dtype=float))
+    if distinct.size < 2:
+        return nb.DEFAULT_PRECISION
+    return float((distinct[-1] - distinct[0]) / (distinct.size - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 5e-324, 1e300])
+                | st.floats(allow_nan=False), max_size=50))
+@example([])
+@example([-0.0])
+@example([0.0, -0.0, 0.0])
+@example([-0.0, 0.0, -2.5, -2.5])
+@example([3.0] * 7)
+@example([[0.5, -3.0], [2.0, 0.5]])  # any shape reads as one column
+def test_attribute_precision_matches_unique(values):
+    with np.errstate(over="ignore"):  # e.g. 1e308 - (-1e308) is inf in both
+        got, want = nb.attribute_precision(values), _unique_precision(values)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_round_to_precision():

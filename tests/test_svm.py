@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -32,8 +33,9 @@ def test_kernel_dimension_mismatch():
 def test_kernel_spec_validation():
     with pytest.raises(DataFormatError):
         svm.KernelSpec("poly", degree=0)
-    with pytest.raises(DataFormatError):
-        svm.KernelSpec("rbf", delta_sq=0.0)
+    for delta_sq in (0.0, math.inf, math.nan):
+        with pytest.raises(DataFormatError):
+            svm.KernelSpec("rbf", delta_sq=delta_sq)
     with pytest.raises(DataFormatError):
         svm.KernelSpec("sigmoid")
     with pytest.raises(DataFormatError):
@@ -41,8 +43,9 @@ def test_kernel_spec_validation():
 
 
 def test_trainer_config_validation():
-    with pytest.raises(DataFormatError):
-        svm.TrainerConfig(C=0.0)
+    for bad in ({"C": 0.0}, {"C": math.inf}, {"kkt_tol": math.inf}, {"kkt_tol": math.nan}):
+        with pytest.raises(DataFormatError):
+            svm.TrainerConfig(**bad)
     with pytest.raises(DataFormatError):
         svm.TrainerConfig(max_passes=0)
 
