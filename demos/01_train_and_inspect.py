@@ -9,7 +9,8 @@ from setcast import dataset as ds
 from setcast import naive_bayes as nb
 
 data = ds.load_samples(cli.default_data_path())
-print(f"dataset: {len(data)} samples, class counts {data.class_counts()}")
+counts = dict(zip(ds.CLASS_LABELS, data.class_counts().tolist()))
+print(f"dataset: {len(data)} samples, class counts {counts}")
 
 model = nb.train(data)
 print("\npriors: " + ", ".join(
@@ -24,12 +25,13 @@ for attr, mus, sigmas in zip(ds.ATTRIBUTE_NAMES, model.mu.T, model.sigma.T):
 
 dists = nb.predict_proba(model, data.features)  # one row per sample
 predicted = [ds.CLASS_LABELS[i] for i in dists.argmax(axis=1)]
+actuals = [ds.CLASS_LABELS[c] for c in data.y]
 print("\nsample classifications (first five rows):")
-for dist, label, actual in list(zip(dists, predicted, data.labels))[:5]:
+for dist, label, actual in list(zip(dists, predicted, actuals))[:5]:
     flag = "ok " if label == actual else "MISS"
     print(f"  {flag}  predicted {label:>4s} (actual {actual:>4s})  "
           f"P(UP) = {dist[0]:.4f}  P(DOWN) = {dist[1]:.4f}")
 
-correct = sum(label == actual for label, actual in zip(predicted, data.labels))
+correct = sum(label == actual for label, actual in zip(predicted, actuals))
 print(f"\nresubstitution accuracy: {correct}/{len(data)} "
       f"= {100 * correct / len(data):.1f}%")

@@ -20,12 +20,12 @@ KERNELS = (
 
 def training_accuracy(model, data):
     up = svm.decision_values(model, data.features) > 0  # zero counts as DOWN
-    return float(np.mean(up == (np.array(data.labels) == ds.UP)))
+    return float(np.mean(up == (data.y == ds.CLASS_LABELS.index(ds.UP))))
 
 
 xor = ds.Dataset(
     np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0]]),
-    (ds.UP, ds.UP, ds.DOWN, ds.DOWN),
+    [0, 0, 1, 1],  # UP, UP, DOWN, DOWN
     ("x1", "x2"),
 )
 print("XOR pattern (UP on one diagonal, DOWN on the other):")

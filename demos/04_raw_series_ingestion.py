@@ -39,8 +39,8 @@ with tempfile.TemporaryDirectory() as tmp:
           f"(each needs two prior complete days):\n")
     print(f"{'':>2s}" + "".join(f"{a:>10s}" for a in ds.ATTRIBUTE_NAMES)
           + f"{'label':>8s}")
-    for i, (row, label) in enumerate(zip(table.features, table.labels)):
-        print(f"{i:2d}" + "".join(f"{v:10.4f}" for v in row) + f"{label:>8s}")
+    for i, (row, c) in enumerate(zip(table.features, table.y)):
+        print(f"{i:2d}" + "".join(f"{v:10.4f}" for v in row) + f"{ds.CLASS_LABELS[c]:>8s}")
 
     print("\nfeatures are percent changes day t-2 -> t-1; the label compares")
     print("day t's open to its close (a tie counts as DOWN).")

@@ -133,6 +133,13 @@ def _seed(args) -> int:
     return args.seed
 
 
+def _folds(args, data) -> int:
+    """The value of ``--folds``, which must satisfy 2 <= k <= len(data)."""
+    if not 2 <= args.folds <= len(data):
+        raise DataFormatError(f"--folds must satisfy 2 <= k <= {len(data)}, got {args.folds}")
+    return args.folds
+
+
 def _kernel_from_args(args):
     from . import svm
 
@@ -216,7 +223,8 @@ def cmd_cv(args) -> int:
 
     data = ds.load_samples(_data_path(args))
     learner = _make_learner(args, args.model)
-    report, _ = evaluation.cross_validate(data, learner, args.folds, _seed(args))
+    seed = _seed(args)
+    report, _ = evaluation.cross_validate(data, learner, _folds(args, data), seed)
     if args.format == "machine":
         header = _config_lines(args, model=learner.describe())
         text = "\n".join(header) + "\n" + evaluation.render_machine(report)
@@ -242,9 +250,9 @@ def cmd_compare(args) -> int:
     from . import evaluation
 
     data = ds.load_samples(_data_path(args))
-    seed = _seed(args)
+    seed, k = _seed(args), _folds(args, data)
     (nb_report, nb_folds), (svm_report, svm_folds) = (
-        evaluation.cross_validate(data, _make_learner(args, kind), args.folds, seed)
+        evaluation.cross_validate(data, _make_learner(args, kind), k, seed)
         for kind in ("nb", "svm"))
     if nb_folds.digest() != svm_folds.digest():
         raise AssertionError("fold assignments diverged between models")

@@ -38,36 +38,36 @@ RAW_COLUMNS = ("NK", "HS", "SET_CLOSE", "SET_OPEN", "USDTHB", "SP500", "GOLD")
 class Dataset:
     """Ordered collection of labeled samples.
 
-    ``features`` has shape (n, d); ``labels`` is a length-n tuple of class
-    names drawn from CLASS_LABELS.
+    ``features`` has shape (n, d); ``y`` is a length-n int8 array of class
+    indices into CLASS_LABELS (0 = UP, 1 = DOWN).  Any integer array-like of
+    0s and 1s is accepted and stored as int8.
     """
 
     features: np.ndarray
-    labels: tuple
+    y: np.ndarray
     attribute_names: tuple = ATTRIBUTE_NAMES
 
     def __post_init__(self):
         object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
-        if self.features.ndim != 2 or len(self.labels) != self.features.shape[0]:
-            raise DataFormatError("features must be (n, d) with one label per row")
+        y = np.asarray(self.y)
+        if self.features.ndim != 2 or y.shape != self.features.shape[:1]:
+            raise DataFormatError("features must be (n, d) with one class index per row")
         if not np.isfinite(self.features).all():
             raise DataFormatError("all feature values must be finite")
-        unknown = set(self.labels) - set(CLASS_LABELS)
-        if unknown:
-            raise DataFormatError(f"labels outside {CLASS_LABELS}: {sorted(unknown)}")
+        if y.dtype.kind not in "iu" or ((y < 0) | (y >= len(CLASS_LABELS))).any():
+            raise DataFormatError(f"y must hold integer indices into {CLASS_LABELS}")
+        object.__setattr__(self, "y", y.astype(np.int8, copy=False))
 
     def __len__(self):
         return self.features.shape[0]
 
-    def class_counts(self):
+    def class_counts(self) -> np.ndarray:
         """Per-class sample counts, in CLASS_LABELS order."""
-        return {c: self.labels.count(c) for c in CLASS_LABELS}
+        return np.bincount(self.y, minlength=len(CLASS_LABELS))
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=int)
-        labels = self.labels
-        return Dataset(self.features[idx], tuple([labels[i] for i in idx.tolist()]),
-                       self.attribute_names)
+        return Dataset(self.features[idx], self.y[idx], self.attribute_names)
 
 
 @dataclass(frozen=True)
@@ -101,27 +101,14 @@ class FoldAssignment:
         return f"{zlib.crc32(raw + self.k.to_bytes(8, 'little')):08x}"
 
 
-def percent_change(prev: float, curr: float) -> float:
-    """Day-over-day percentage change 100 * (curr - prev) / prev."""
-    if prev <= 0:
-        raise DataFormatError(f"previous price must be positive, got {prev}")
-    return 100.0 * (curr - prev) / prev
-
-
-def label_direction(open_price: float, close_price: float) -> str:
-    """UP when the close exceeds the open, DOWN otherwise (tie counts as DOWN)."""
-    if open_price <= 0 or close_price <= 0:
-        raise DataFormatError("prices must be positive")
-    return UP if close_price > open_price else DOWN
-
-
 @dataclass(frozen=True)
 class CsvFormat:
     """A CSV layout for :func:`read_csv`: the accepted headers, where the
     float and text columns sit, and the messages its violations raise.
 
-    ``key`` names the text column returned beside the floats: "label" (the
-    last column, UP or DOWN in any letter case), "date" (the first) or "".
+    ``key`` names the column returned beside the floats: "label" (the last
+    column, UP or DOWN in any letter case, returned as class indices),
+    "date" (the first) or "".
     """
 
     headers: tuple  # accepted headers, each a tuple of column names
@@ -159,8 +146,9 @@ def read_text(path, newline=None) -> str:
 
 
 def read_csv(path, fmt: CsvFormat):
-    """The float block (n, fmt.width) and the text column (a tuple, empty
-    without one) of a CSV file in format ``fmt``.
+    """The float block (n, fmt.width) and the key column of a CSV file in
+    format ``fmt``: an int8 array of indices into CLASS_LABELS for "label",
+    a tuple of date strings for "date", and () for "".
 
     The accepted syntax is that of ``csv.reader`` cells converted by
     ``float()``.  A file without quotes or lone carriage returns is parsed
@@ -169,20 +157,21 @@ def read_csv(path, fmt: CsvFormat):
     naming the first bad line.  Both paths return the same values.
     """
     text = read_text(path, newline="")
-    parsed = _read_columns(text, fmt)
-    return parsed if parsed is not None else _read_rows(path, text, fmt)
+    values, keys = _read_columns(text, fmt) or _read_rows(path, text, fmt)
+    return values, np.array(keys, dtype=np.int8) if fmt.key == "label" else tuple(keys)
 
 
 def _token(cell: str, fmt: CsvFormat):
-    """A text cell as read_csv returns it, or None for an unknown label."""
+    """A key cell as a date or a class index, or None for an unknown label."""
     if fmt.key == "date":
         return cell.strip()
     token = cell.strip().upper()
-    return token if token in CLASS_LABELS else None
+    return CLASS_LABELS.index(token) if token in CLASS_LABELS else None
 
 
 def _read_columns(text, fmt):
-    """read_csv by columns, or None where only the row reader can decide."""
+    """read_csv's floats and per-row keys, read by columns, or None where
+    only the row reader can decide."""
     text = text.replace("\r\n", "\n")
     header, _, body = text.partition("\n")
     header = tuple(h.strip() for h in header.split(","))
@@ -197,7 +186,7 @@ def _read_columns(text, fmt):
             or [line.count(",") for line in lines].count(len(header) - 1) != len(lines)):
         return None
     if not lines:
-        return np.empty((0, fmt.width)), ()
+        return np.empty((0, fmt.width)), []
     try:
         values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
                             usecols=range(fmt.first, fmt.first + fmt.width))
@@ -205,7 +194,7 @@ def _read_columns(text, fmt):
         return None
     if fmt.finite and not np.isfinite(values).all():
         return None
-    return values, tuple(map(tokens.__getitem__, cells))
+    return values, [tokens[cell] for cell in cells]
 
 
 def _read_rows(path, text, fmt):
@@ -244,7 +233,7 @@ def _read_rows(path, text, fmt):
             keys.append(_token(row[-1 if fmt.key == "label" else 0], fmt))
             if keys[-1] is None:
                 raise DataFormatError(f"{path}:{lineno}: unknown label {row[-1]!r}")
-    return np.array(rows, dtype=float).reshape(len(rows), fmt.width), tuple(keys)
+    return np.array(rows, dtype=float).reshape(len(rows), fmt.width), keys
 
 
 class KeyValueFile:
@@ -322,10 +311,10 @@ class KeyValueFile:
 
 def load_samples(path) -> Dataset:
     """Read a labeled-sample CSV (header NK,HS,SET,USDTHB,SP500,GOLD,SET_DIRECTION)."""
-    features, labels = read_csv(path, SAMPLES)
-    if not labels:
+    features, y = read_csv(path, SAMPLES)
+    if not len(y):
         raise DataFormatError(f"{path}: empty dataset")
-    return Dataset(features, labels)
+    return Dataset(features, y)
 
 
 def save_samples(dataset: Dataset, path) -> None:
@@ -340,8 +329,8 @@ def save_samples(dataset: Dataset, path) -> None:
     row = "%.10g," * dataset.features.shape[1] + "%s\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(list(dataset.attribute_names) + [LABEL_COLUMN]) + "\n"
-                 + "".join(row % (*x, label)
-                           for x, label in zip(dataset.features.tolist(), dataset.labels)))
+                 + "".join(row % (*x, CLASS_LABELS[c])
+                           for x, c in zip(dataset.features.tolist(), dataset.y.tolist())))
 
 
 def load_raw_series(path) -> RawSeries:
@@ -374,18 +363,19 @@ def build_training_table(series: RawSeries) -> Dataset:
     prev, curr = vals[:-2, feature_cols], vals[1:-1, feature_cols]
     open_, close = vals[2:, col["SET_OPEN"]], vals[2:, col["SET_CLOSE"]]
     bad = np.flatnonzero((prev <= 0).any(axis=1) | (open_ <= 0) | (close <= 0))
-    if bad.size:  # the scalar checks raise for the first bad day, in loop order
-        t = bad[0]
-        for c in range(len(feature_cols)):
-            percent_change(prev[t, c], curr[t, c])
-        label_direction(open_[t], close[t])
+    if bad.size:  # the first bad day; its feature prices before its SET session
+        nonpositive = prev[bad[0]][prev[bad[0]] <= 0]
+        if nonpositive.size:
+            raise DataFormatError(f"previous price must be positive, got {nonpositive[0]}")
+        raise DataFormatError("prices must be positive")
     with np.errstate(over="ignore"):  # a non-finite change is reported below
         features = 100.0 * (curr - prev) / prev
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
         raise DataFormatError(f"{series.dates[keep[bad[0] + 1]]}: a percent change "
                               "is too large in magnitude for a float")
-    return Dataset(features, tuple(np.where(close > open_, UP, DOWN).tolist()))
+    return Dataset(features, np.where(close > open_, CLASS_LABELS.index(UP),
+                                      CLASS_LABELS.index(DOWN)))
 
 
 def _require_increasing_days(dates) -> None:
@@ -477,16 +467,14 @@ def stratified_folds(dataset: Dataset, k: int, seed: int) -> FoldAssignment:
         raise DataFormatError(f"fold count must satisfy 2 <= k <= {n}, got {k}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DataFormatError(f"seed must be a non-negative integer, got {seed!r}")
-    counts = dataset.class_counts()
-    missing = [c for c, cnt in counts.items() if cnt == 0]
+    missing = [c for c, cnt in zip(CLASS_LABELS, dataset.class_counts()) if cnt == 0]
     if missing:
         raise DataFormatError(f"class with zero samples: {missing}")
     draws = _pcg64_draws(int(seed))
-    labels = np.array(dataset.labels)
     assignment = np.empty(n, dtype=int)
     pointer = 0
-    for c in CLASS_LABELS:
-        idx = np.flatnonzero(labels == c)
+    for ci in range(len(CLASS_LABELS)):
+        idx = np.flatnonzero(dataset.y == ci)
         _shuffle(idx, draws)
         assignment[idx] = (pointer + np.arange(len(idx))) % k
         pointer += len(idx)

@@ -95,15 +95,6 @@ def confusion_matrix(actual_idx, dist) -> np.ndarray:
     return np.bincount(cells, minlength=k * k).reshape(k, k)
 
 
-def records_from_matrix(matrix):
-    """Expand a confusion matrix into hard one-hot predictions:
-    (actual_idx, dist) in row-major cell order."""
-    matrix = np.asarray(matrix, dtype=int)
-    k = len(matrix)
-    actual, predicted = np.divmod(np.repeat(np.arange(k * k), matrix.ravel()), k)
-    return actual, np.eye(k)[predicted]
-
-
 def kappa_statistic(matrix) -> float:
     """Cohen's kappa: chance-corrected agreement of the confusion matrix."""
     matrix = np.asarray(matrix, dtype=float)
@@ -245,9 +236,7 @@ class SvmLearner:
 
 def smoothed_class_distribution(dataset: Dataset) -> np.ndarray:
     """Add-one-smoothed class frequencies, the per-fold baseline predictor."""
-    counts = dataset.class_counts()
-    k = len(CLASS_LABELS)
-    return np.array([(counts[c] + 1) / (len(dataset) + k) for c in CLASS_LABELS])
+    return (dataset.class_counts() + 1) / (len(dataset) + len(CLASS_LABELS))
 
 
 def cross_validate(dataset: Dataset, learner, k: int, seed: int):
@@ -275,8 +264,7 @@ def cross_validate(dataset: Dataset, learner, k: int, seed: int):
         if converged is not None:
             flags.append(converged)
 
-    actual_idx = np.array([CLASS_LABELS.index(c) for c in dataset.labels])
-    report = evaluate(actual_idx[np.concatenate(tests)], np.concatenate(dists),
+    report = evaluate(dataset.y[np.concatenate(tests)], np.concatenate(dists),
                       np.concatenate(baselines), fold_digest=folds.digest())
     if flags:
         m = sum(flags)

@@ -53,11 +53,10 @@ class NaiveBayesModel:
 def estimate_priors(dataset: Dataset) -> np.ndarray:
     """Class frequencies count(C)/n, in CLASS_LABELS order."""
     counts = dataset.class_counts()
-    zero = [c for c, cnt in counts.items() if cnt == 0]
+    zero = [c for c, cnt in zip(CLASS_LABELS, counts) if cnt == 0]
     if zero:
         raise TrainingError(f"class with zero training samples: {zero}")
-    n = len(dataset)
-    return np.array([counts[c] / n for c in CLASS_LABELS])
+    return counts / len(dataset)
 
 
 def attribute_precision(values) -> float:
@@ -92,8 +91,7 @@ def train(dataset: Dataset, *, priors: str = "frequency",
     if priors == "uniform":
         prior_vec = np.full(len(CLASS_LABELS), 1.0 / len(CLASS_LABELS))
 
-    labels = np.array(dataset.labels)
-    masks = [labels == c for c in CLASS_LABELS]
+    masks = [dataset.y == ci for ci in range(len(CLASS_LABELS))]
     mu = np.empty((len(CLASS_LABELS), dataset.features.shape[1]))
     sigma = np.empty_like(mu)
     for ai, name in enumerate(dataset.attribute_names):

@@ -127,20 +127,6 @@ class SvmModel:
     kkt_violation: float = float("nan")
 
 
-def kernel_eval(spec: KernelSpec, x, z) -> float:
-    """Evaluate the kernel on a single pair of equal-length vectors."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if x.shape != z.shape:
-        raise DataFormatError(f"dimension mismatch: {x.shape} vs {z.shape}")
-    if spec.kind == LINEAR:
-        return float(x @ z)
-    if spec.kind == POLY:
-        return float((x @ z + 1.0) ** spec.degree)
-    diff = x - z
-    return float(np.exp(-(diff @ diff) / spec.delta_sq))
-
-
 def kernel_matrix(spec: KernelSpec, X, Z, buffer=None) -> np.ndarray:
     """Kernel evaluations between the rows of X (n, d) and Z (m, d).
 
@@ -173,11 +159,6 @@ def kernel_matrix(spec: KernelSpec, X, Z, buffer=None) -> np.ndarray:
     return np.exp(inner, out=inner)
 
 
-def labels_to_pm1(labels) -> np.ndarray:
-    """Map UP -> +1.0 and DOWN -> -1.0."""
-    return np.where(np.asarray(labels, dtype=object) == UP, 1.0, -1.0)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises instead
 def train_smo(dataset: Dataset, kernel: KernelSpec, config: TrainerConfig,
               buffer=None) -> SvmModel:
@@ -195,10 +176,11 @@ def train_smo(dataset: Dataset, kernel: KernelSpec, config: TrainerConfig,
     if n < 2:
         raise TrainingError("need at least 2 training samples")
     counts = dataset.class_counts()
-    if any(cnt == 0 for cnt in counts.values()):
+    if not counts.all():
+        counts = dict(zip(CLASS_LABELS, counts.tolist()))
         raise TrainingError(f"single-class training data: {counts}")
     X = dataset.features
-    y = labels_to_pm1(dataset.labels)
+    y = np.where(dataset.y == CLASS_LABELS.index(UP), 1.0, -1.0)
     K = kernel_matrix(kernel, X, X, buffer)  # bitwise symmetric: row K[i] is column i
     _require_finite(K, dataset, kernel)
     C, tol = config.C, config.kkt_tol
@@ -388,11 +370,6 @@ def predict_proba(model: SvmModel, X) -> np.ndarray:
     up = decision_values(model, X) > 0
     columns = np.where(up, CLASS_LABELS.index(UP), CLASS_LABELS.index(DOWN))
     return np.eye(len(CLASS_LABELS))[columns]
-
-
-def hard_distribution(model: SvmModel, x) -> np.ndarray:
-    """One-hot distribution over CLASS_LABELS for one sample."""
-    return predict_proba(model, x)[0]
 
 
 def save_model(model: SvmModel, path) -> None:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from setcast import cli, dataset as ds
+from setcast import cli, dataset as ds, svm
 
 
 @pytest.fixture(scope="session")
@@ -31,8 +31,8 @@ FIVE_DAY_EXPECTED_FEATURES = np.array(
     ]
 )
 # day 3: open 52.5 > close 52.02 -> DOWN; day 4: 53 < 53.0604 -> UP;
-# day 5: open == close -> DOWN (tie rule)
-FIVE_DAY_EXPECTED_LABELS = ("DOWN", "UP", "DOWN")
+# day 5: open == close -> DOWN (tie rule); as indices into CLASS_LABELS
+FIVE_DAY_EXPECTED_Y = [1, 0, 1]
 
 
 def raw_csv_text(rows) -> str:
@@ -52,7 +52,21 @@ def toy_dataset(up_rows, down_rows, names=None) -> ds.Dataset:
     up_rows = np.atleast_2d(np.asarray(up_rows, dtype=float))
     down_rows = np.atleast_2d(np.asarray(down_rows, dtype=float))
     features = np.vstack([up_rows, down_rows])
-    labels = (ds.UP,) * len(up_rows) + (ds.DOWN,) * len(down_rows)
+    y = [0] * len(up_rows) + [1] * len(down_rows)  # UP, then DOWN
     if names is None:
         names = tuple(f"x{i}" for i in range(features.shape[1]))
-    return ds.Dataset(features, labels, names)
+    return ds.Dataset(features, y, names)
+
+
+def records_from_matrix(matrix):
+    """Expand a confusion matrix into hard one-hot predictions:
+    (actual_idx, dist) in row-major cell order."""
+    matrix = np.asarray(matrix, dtype=int)
+    k = len(matrix)
+    actual, predicted = np.divmod(np.repeat(np.arange(k * k), matrix.ravel()), k)
+    return actual, np.eye(k)[predicted]
+
+
+def hard_distribution(model, x) -> np.ndarray:
+    """One-hot SVM distribution over CLASS_LABELS for one sample."""
+    return svm.predict_proba(model, x)[0]

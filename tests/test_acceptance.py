@@ -32,6 +32,8 @@ from setcast import evaluation as ev
 from setcast import naive_bayes as nb
 from setcast import svm
 
+from conftest import hard_distribution, records_from_matrix
+
 mpmath.mp.dps = 60
 
 
@@ -78,9 +80,9 @@ def test_criterion_1_gaussian_parameter_reproduction(market_data):
 
 # ---------------------------------------------------------------- criterion 2
 def test_criterion_2_reference_matrix_metrics():
-    first = ev.evaluate(*ev.records_from_matrix([[13, 3], [7, 7]]))
+    first = ev.evaluate(*records_from_matrix([[13, 3], [7, 7]]))
     up = first.per_class[0]
-    second = ev.evaluate(*ev.records_from_matrix([[11, 5], [8, 6]]))
+    second = ev.evaluate(*records_from_matrix([[11, 5], [8, 6]]))
     checks = [
         ("accuracy%", 100 * first.accuracy, 66.6667, 5e-4),
         ("kappa", first.kappa, 0.3182, 1e-4),
@@ -210,7 +212,7 @@ def test_criterion_5_smo_optimality_oracle():
         C = float(rng.choice([0.5, 1.0, 4.0]))
         data = ds.Dataset(
             X,
-            tuple(ds.UP if v > 0 else ds.DOWN for v in y),
+            (y < 0).astype(int),  # UP for +1, DOWN for -1
             tuple(f"x{i}" for i in range(X.shape[1])),
         )
         model = svm.train_smo(
@@ -250,7 +252,7 @@ def test_criterion_6_posterior_oracle():
     worst = 0.0
     for _ in range(50):
         X = rng.normal(size=(6, 2))
-        data = ds.Dataset(X, (ds.UP,) * 3 + (ds.DOWN,) * 3, ("a", "b"))
+        data = ds.Dataset(X, [0] * 3 + [1] * 3, ("a", "b"))  # 3 UP, 3 DOWN
         model = nb.train(data, estimator="plain")
         x = rng.normal(size=2)
         got = nb.predict_distribution(model, x)
@@ -282,13 +284,13 @@ def test_criterion_7_normalization_and_determinism(market_data, tmp_path):
         for dist in (
             nb.predict_distribution(nb_model, x),
             nb.predict_distribution(plain_model, x),
-            svm.hard_distribution(svm_model, x),
+            hard_distribution(svm_model, x),
         ):
             worst = max(worst, abs(float(dist.sum()) - 1.0))
     rng = np.random.default_rng(23)
     for _ in range(20):
         X = rng.normal(size=(8, 3)) * rng.uniform(0.1, 50)
-        data = ds.Dataset(X, (ds.UP,) * 4 + (ds.DOWN,) * 4, ("a", "b", "c"))
+        data = ds.Dataset(X, [0] * 4 + [1] * 4, ("a", "b", "c"))  # 4 UP, 4 DOWN
         model = nb.train(data)
         for x in rng.normal(size=(5, 3)) * 10:
             worst = max(worst, abs(float(nb.predict_distribution(model, x).sum()) - 1.0))

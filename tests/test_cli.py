@@ -11,7 +11,7 @@ from setcast import cli
 from setcast import dataset as ds
 from setcast import naive_bayes, svm
 
-from conftest import FIVE_DAY_EXPECTED_FEATURES, FIVE_DAY_EXPECTED_LABELS, raw_csv_text
+from conftest import FIVE_DAY_EXPECTED_FEATURES, FIVE_DAY_EXPECTED_Y, raw_csv_text
 
 
 ROW = ("2010-01-04", "100", "200", "300", "299", "33", "1000", "1100")
@@ -29,7 +29,7 @@ def test_ingest_builds_labeled_samples(five_day_csv, tmp_path):
     np.testing.assert_allclose(
         table.features, FIVE_DAY_EXPECTED_FEATURES, atol=1e-8
     )
-    assert table.labels == FIVE_DAY_EXPECTED_LABELS
+    assert table.y.tolist() == FIVE_DAY_EXPECTED_Y
 
 
 def test_ingest_rejects_short_series(tmp_path, capsys):
@@ -188,8 +188,8 @@ def test_predict_resubstitution_confusion(tmp_path):
         assert float(p_up) == dist[0] and float(p_down) == dist[1]
 
     confusion = np.zeros((2, 2), dtype=int)
-    for actual, pred in zip(data.labels, predicted):
-        confusion[ds.CLASS_LABELS.index(actual), ds.CLASS_LABELS.index(pred)] += 1
+    for actual, pred in zip(data.y, predicted):
+        confusion[actual, ds.CLASS_LABELS.index(pred)] += 1
     np.testing.assert_array_equal(confusion, [[16, 0], [6, 8]])
 
 
@@ -206,7 +206,7 @@ def test_predict_empty_sample_file(tmp_path, capsys):
 def test_predict_dimension_mismatch(tmp_path):
     data = ds.Dataset(
         np.array([[0.0, 1], [1, 0], [2, 2], [3, 3]]),
-        (ds.UP, ds.UP, ds.DOWN, ds.DOWN),
+        [0, 0, 1, 1],  # UP, UP, DOWN, DOWN
         ("a", "b"),
     )
     model_path = tmp_path / "narrow.model"
@@ -357,14 +357,14 @@ def test_cv_rejects_single_fold(capsys):
 
 def test_cv_single_class_data_is_precondition_error(tmp_path):
     path = tmp_path / "oneclass.csv"
-    data = ds.Dataset(np.arange(18, dtype=float).reshape(3, 6), (ds.UP,) * 3)
+    data = ds.Dataset(np.arange(18, dtype=float).reshape(3, 6), [0] * 3)  # all UP
     ds.save_samples(data, path)
     assert run("cv", "--data", str(path), "--folds", "3") == 2
 
 
 def test_train_single_class_data_is_training_error(tmp_path, capsys):
     path = tmp_path / "oneclass.csv"
-    data = ds.Dataset(np.arange(18, dtype=float).reshape(3, 6), (ds.UP,) * 3)
+    data = ds.Dataset(np.arange(18, dtype=float).reshape(3, 6), [0] * 3)  # all UP
     ds.save_samples(data, path)
     assert run("train", "--data", str(path),
                "--output", str(tmp_path / "m.model")) == 4
@@ -403,7 +403,7 @@ def test_compare_text_report(capsys):
 
 def test_compare_single_class_data(tmp_path, capsys):
     path = tmp_path / "oneclass.csv"
-    data = ds.Dataset(np.arange(24, dtype=float).reshape(4, 6), (ds.DOWN,) * 4)
+    data = ds.Dataset(np.arange(24, dtype=float).reshape(4, 6), [1] * 4)  # all DOWN
     ds.save_samples(data, path)
     assert run("compare", "--data", str(path), "--folds", "3") == 2
     assert "class with zero samples: ['UP']" in capsys.readouterr().err

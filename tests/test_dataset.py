@@ -9,26 +9,42 @@ from hypothesis import strategies as st
 from setcast import dataset as ds
 from setcast.errors import DataFormatError
 
-from conftest import FIVE_DAY_EXPECTED_FEATURES, FIVE_DAY_EXPECTED_LABELS, raw_csv_text
+from conftest import FIVE_DAY_EXPECTED_FEATURES, FIVE_DAY_EXPECTED_Y, raw_csv_text
+
+
+def _series(*days):
+    """A RawSeries of consecutive dates, one row of the seven raw prices per day."""
+    values = np.array(days, dtype=float).reshape(len(days), len(ds.RAW_COLUMNS))
+    dates = np.datetime64("2010-01-04") + np.arange(len(days))
+    return ds.RawSeries(tuple(map(str, dates)), values)
+
+
+def _nk_change(prev, curr):
+    """The NK feature build_training_table derives from two NK prices."""
+    series = _series([prev] + [1] * 6, [curr] + [1] * 6, [1] * 7)
+    return ds.build_training_table(series).features[0, 0]
 
 
 # ---------------------------------------------------------------- percent_change
 def test_percent_change_values():
-    assert ds.percent_change(100, 101) == 1.0
-    assert ds.percent_change(200, 200) == 0.0
-    assert ds.percent_change(1000, 993) == pytest.approx(-0.7)
+    # NK 100 -> 101, HS 200 -> 200, SET_CLOSE 1000 -> 993
+    table = ds.build_training_table(_series([100, 200, 1000, 1, 1, 1, 1],
+                                            [101, 200, 993, 1, 1, 1, 1], [1] * 7))
+    assert table.features[0, 0] == 1.0
+    assert table.features[0, 1] == 0.0
+    assert table.features[0, 2] == pytest.approx(-0.7)
 
 
 def test_percent_change_rejects_nonpositive_prev():
-    with pytest.raises(DataFormatError):
-        ds.percent_change(0, 10)
-    with pytest.raises(DataFormatError):
-        ds.percent_change(-5, 10)
+    with pytest.raises(DataFormatError, match="previous price must be positive, got 0.0"):
+        _nk_change(0, 10)
+    with pytest.raises(DataFormatError, match="previous price must be positive, got -5.0"):
+        _nk_change(-5, 10)
 
 
 @given(st.floats(min_value=1e-3, max_value=1e6))
 def test_percent_change_identity(p):
-    assert ds.percent_change(p, p) == 0.0
+    assert (ds.build_training_table(_series(*[[p] * 7] * 3)).features == 0.0).all()
 
 
 @given(
@@ -38,34 +54,36 @@ def test_percent_change_identity(p):
 def test_percent_change_antisymmetric(p, d):
     # p + d and p - d each round once, so the symmetry is exact only up to
     # that rounding of the inputs
-    assert ds.percent_change(p, p + d) == pytest.approx(
-        -ds.percent_change(p, p - d), rel=1e-9, abs=1e-9
+    assert _nk_change(p, p + d) == pytest.approx(
+        -_nk_change(p, p - d), rel=1e-9, abs=1e-9
     )
 
 
 # --------------------------------------------------------------- label_direction
 def test_label_direction():
-    assert ds.label_direction(700, 705) == ds.UP
-    assert ds.label_direction(705, 700) == ds.DOWN
-    assert ds.label_direction(700, 700) == ds.DOWN  # tie rule
+    # SET_OPEN, SET_CLOSE of days 3-5: 700 -> 705, 705 -> 700, 700 -> 700
+    days = [[1, 1, close, open_, 1, 1, 1]
+            for open_, close in ((1, 1), (1, 1), (700, 705), (705, 700), (700, 700))]
+    y = ds.build_training_table(_series(*days)).y
+    assert [ds.CLASS_LABELS[c] for c in y] == [ds.UP, ds.DOWN, ds.DOWN]  # tie rule
 
 
 def test_label_direction_rejects_nonpositive():
-    with pytest.raises(DataFormatError):
-        ds.label_direction(0, 5)
-    with pytest.raises(DataFormatError):
-        ds.label_direction(5, -1)
+    with pytest.raises(DataFormatError, match="prices must be positive"):
+        ds.build_training_table(_series([1] * 7, [1] * 7, [1, 1, 5, 0, 1, 1, 1]))
+    with pytest.raises(DataFormatError, match="prices must be positive"):
+        ds.build_training_table(_series([1] * 7, [1] * 7, [1, 1, -1, 5, 1, 1, 1]))
 
 
 # ------------------------------------------------------------------ load_samples
 def test_load_fixture(market_data):
     assert len(market_data) == 30
     counts = market_data.class_counts()
-    assert counts == {ds.UP: 16, ds.DOWN: 14}
+    assert counts.tolist() == [16, 14]  # UP, DOWN
     np.testing.assert_allclose(
         market_data.features[0], [0.6994, 0.2069, -0.3765, 0.1532, -1.1050, -0.4680]
     )
-    assert market_data.labels[0] == ds.UP
+    assert ds.CLASS_LABELS[market_data.y[0]] == ds.UP
 
 
 def test_load_samples_header_only(tmp_path):
@@ -100,9 +118,37 @@ def test_load_samples_case_insensitive_labels(tmp_path):
     path = tmp_path / "mixed.csv"
     path.write_text(
         "NK,HS,SET,USDTHB,SP500,GOLD,SET_DIRECTION\n"
-        "1,2,3,4,5,6,up\n1,2,3,4,5,6,Down\n"
+        "1,2,3,4,5,6,up\n1,2,3,4,5,6,Down\n1,2,3,4,5,6, up\n"
     )
-    assert ds.load_samples(path).labels == (ds.UP, ds.DOWN)
+    data = ds.load_samples(path)
+    assert data.y.dtype == np.int8
+    assert data.y.tolist() == [0, 1, 0]  # UP, DOWN, UP
+    ds.save_samples(data, tmp_path / "again.csv")
+    lines = (tmp_path / "again.csv").read_text().splitlines()
+    assert [line.rpartition(",")[2] for line in lines[1:]] == [ds.UP, ds.DOWN, ds.UP]
+
+
+@pytest.mark.parametrize("y", [
+    [0, 1],  # one row short
+    [0, 1, 0, 1],  # one row long
+    [[0, 1, 0]],  # not one-dimensional
+    [0.0, 1.0, 0.5],  # not integers
+    [ds.UP, ds.DOWN, ds.UP],  # class names, not indices
+    [True, False, True],
+    [0, 2, 1],  # outside {0, 1}
+    [0, -1, 1],
+    [0, 300, 1],  # beyond int8
+])
+def test_dataset_rejects_bad_class_indices(y):
+    with pytest.raises(DataFormatError):
+        ds.Dataset(np.zeros((3, 1)), y, ("x",))
+
+
+def test_dataset_holds_class_indices_as_int8():
+    data = ds.Dataset(np.zeros((3, 1)), np.array([1, 0, 1], dtype=np.int64), ("x",))
+    assert data.y.dtype == np.int8 and data.y.tolist() == [1, 0, 1]
+    assert data.class_counts().tolist() == [1, 2]
+    assert data.subset([2, 0]).y.tolist() == [1, 1]
 
 
 def test_load_samples_missing_file(tmp_path):
@@ -115,17 +161,17 @@ def test_save_load_round_trip(market_data, tmp_path):
     ds.save_samples(market_data, path)
     again = ds.load_samples(path)
     np.testing.assert_array_equal(market_data.features, again.features)
-    assert market_data.labels == again.labels
+    np.testing.assert_array_equal(market_data.y, again.y)
 
 
 def test_save_samples_near_float_max(tmp_path):
     path = tmp_path / "large.csv"
-    data = ds.Dataset([[1.797693134e308, -1.797693134e308, 0, 0, 0, 0]], (ds.UP,))
+    data = ds.Dataset([[1.797693134e308, -1.797693134e308, 0, 0, 0, 0]], [0])
     ds.save_samples(data, path)
     np.testing.assert_array_equal(ds.load_samples(path).features, data.features)
     # ten significant digits round 1.7976931348e308 up to 1.797693135e+308 = inf
     data = ds.Dataset(np.vstack([data.features, [0, 0, 0, 0, 0, -1.7976931348e308]]),
-                      (ds.UP, ds.DOWN))
+                      [0, 1])
     with pytest.raises(DataFormatError, match="sample 2: a feature value is too large"):
         ds.save_samples(data, tmp_path / "beyond.csv")
     assert not (tmp_path / "beyond.csv").exists()
@@ -145,7 +191,7 @@ def test_three_day_doubling_series():
     table = ds.build_training_table(series)
     assert len(table) == 1
     np.testing.assert_allclose(table.features[0], [100.0] * 6)
-    assert table.labels == (ds.UP,)  # day-3 close 16 > open 15
+    assert table.y.tolist() == [0]  # UP: day-3 close 16 > open 15
 
 
 def test_five_day_series_matches_hand_computation(five_day_csv):
@@ -154,7 +200,7 @@ def test_five_day_series_matches_hand_computation(five_day_csv):
     np.testing.assert_allclose(
         table.features, FIVE_DAY_EXPECTED_FEATURES, rtol=1e-12, atol=1e-12
     )
-    assert table.labels == FIVE_DAY_EXPECTED_LABELS
+    assert table.y.tolist() == FIVE_DAY_EXPECTED_Y
 
 
 def test_missing_day_is_skipped(tmp_path):
@@ -171,7 +217,7 @@ def test_missing_day_is_skipped(tmp_path):
     assert len(table) == 1
     # NK change measured day 1 -> day 3 because day 2 dropped out
     assert table.features[0][0] == pytest.approx(21.0)
-    assert table.labels == (ds.DOWN,)
+    assert table.y.tolist() == [1]  # DOWN
 
 
 def test_too_few_complete_days(tmp_path):
@@ -189,11 +235,10 @@ def test_too_few_complete_days(tmp_path):
 def test_fixture_folds_balanced(market_data):
     for seed in range(5):
         folds = ds.stratified_folds(market_data, 10, seed)
-        labels = np.array(market_data.labels, dtype=object)
         for f in range(10):
             test = folds.test_indices(f)
             assert len(test) == 3
-            up_count = int((labels[test] == ds.UP).sum())
+            up_count = int((market_data.y[test] == 0).sum())
             assert up_count in (1, 2)
 
 
@@ -216,7 +261,7 @@ def test_fold_count_bounds(market_data):
 @st.composite
 def labelled_and_k(draw):
     labels = draw(
-        st.lists(st.sampled_from([ds.UP, ds.DOWN]), min_size=2, max_size=40).filter(
+        st.lists(st.sampled_from([0, 1]), min_size=2, max_size=40).filter(
             lambda ls: len(set(ls)) == 2
         )
     )
@@ -240,8 +285,8 @@ def test_fold_invariants(case):
     sizes = np.bincount(folds.assignment, minlength=k)
     assert sizes.sum() == len(labels)
     assert sizes.max() - sizes.min() <= 1
-    arr = np.array(labels, dtype=object)
-    for c in (ds.UP, ds.DOWN):
+    arr = np.array(labels)
+    for c in (0, 1):
         per_fold = np.bincount(folds.assignment[arr == c], minlength=k)
         assert per_fold.max() - per_fold.min() <= 1
 
@@ -289,7 +334,7 @@ def _reference_load_samples(path):
             labels.append(token)
     if not rows:
         raise DataFormatError(f"{path}: empty dataset")
-    return ds.Dataset(np.array(rows), tuple(labels))
+    return ds.Dataset(np.array(rows), [ds.CLASS_LABELS.index(c) for c in labels])
 
 
 def _reference_load_raw_series(path):
@@ -356,8 +401,22 @@ def _reference_save_samples(dataset, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(dataset.attribute_names) + [ds.LABEL_COLUMN])
-        for x, label in zip(dataset.features, dataset.labels):
+        for x, label in zip(dataset.features, [ds.CLASS_LABELS[c] for c in dataset.y]):
             writer.writerow([format(v, ".10g") for v in x] + [label])
+
+
+def _percent_change(prev, curr):
+    """Day-over-day percentage change 100 * (curr - prev) / prev."""
+    if prev <= 0:
+        raise DataFormatError(f"previous price must be positive, got {prev}")
+    return 100.0 * (curr - prev) / prev
+
+
+def _label_direction(open_price, close_price):
+    """UP when the close exceeds the open, DOWN otherwise (tie counts as DOWN)."""
+    if open_price <= 0 or close_price <= 0:
+        raise DataFormatError("prices must be positive")
+    return ds.UP if close_price > open_price else ds.DOWN
 
 
 def _reference_build_training_table(series):
@@ -371,14 +430,14 @@ def _reference_build_training_table(series):
     labels = []
     for t in range(2, len(vals)):
         prev2, prev1, today = vals[t - 2], vals[t - 1], vals[t]
-        rows.append([ds.percent_change(prev2[c], prev1[c]) for c in feature_cols])
-        labels.append(ds.label_direction(today[col["SET_OPEN"]], today[col["SET_CLOSE"]]))
-    return ds.Dataset(np.array(rows), tuple(labels))
+        rows.append([_percent_change(prev2[c], prev1[c]) for c in feature_cols])
+        labels.append(_label_direction(today[col["SET_OPEN"]], today[col["SET_CLOSE"]]))
+    return ds.Dataset(np.array(rows), [ds.CLASS_LABELS.index(c) for c in labels])
 
 
 def _reference_stratified_folds(dataset, k, seed):
     rng = np.random.default_rng(seed)
-    labels = np.array(dataset.labels, dtype=object)
+    labels = np.array([ds.CLASS_LABELS[c] for c in dataset.y], dtype=object)
     assignment = np.empty(len(dataset), dtype=int)
     pointer = 0
     for c in ds.CLASS_LABELS:
@@ -400,7 +459,7 @@ def _outcome(read, path):
 
 def _arrays_of(result):
     if isinstance(result, ds.Dataset):
-        return result.features, result.labels
+        return result.features, result.y.tolist()
     if isinstance(result, ds.RawSeries):
         return result.values, result.dates
     return result, ()
@@ -529,7 +588,7 @@ def test_plain_files_are_read_by_columns(five_day_csv, market_data, tmp_path, mo
         raise AssertionError("fell back to the row reader")
 
     monkeypatch.setattr(ds, "_read_rows", refuse)
-    assert ds.load_samples(samples).labels == market_data.labels
+    assert ds.load_samples(samples).y.tolist() == market_data.y.tolist()
     assert _read_features(samples).tobytes() == market_data.features.tobytes()
     assert ds.load_raw_series(five_day_csv).dates[0] == "2010-01-04"
 
@@ -553,7 +612,7 @@ def test_save_samples_matches_csv_writer(market_data, tmp_path):
     rng = np.random.default_rng(4)
     odd = ds.Dataset(np.vstack([rng.normal(size=(5, 6)) * 10.0 ** rng.integers(-320, 300, size=(5, 6)),
                                 [[-0.0, 0.0, 1e-310, 123456789012.0, 1 / 3, -2.5e-7]]]),
-                     (ds.UP, ds.DOWN) * 3)
+                     [0, 1] * 3)
     for data in (market_data, odd):
         ds.save_samples(data, tmp_path / "new.csv")
         _reference_save_samples(data, tmp_path / "ref.csv")
@@ -576,7 +635,7 @@ def test_build_training_table_matches_per_day_loop(data):
         assert got[1] == want[1]
     else:
         assert got[1].features.tobytes() == want[1].features.tobytes()
-        assert got[1].labels == want[1].labels
+        assert got[1].y.tobytes() == want[1].y.tobytes()
 
 
 @st.composite
@@ -586,11 +645,11 @@ def folds_case(draw):
     n = draw(st.integers(min_value=2, max_value=2000))
     n_up = draw(st.integers(min_value=1, max_value=n - 1))
     order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(n)
-    labels = tuple(np.where(order < n_up, ds.UP, ds.DOWN).tolist())
+    labels = tuple(np.where(order < n_up, 0, 1).tolist())  # UP, DOWN
     return labels, draw(st.integers(min_value=2, max_value=n)), draw(st.integers(0, 2**130 - 1))
 
 
-_MIXED = tuple(np.where(np.random.default_rng(3).random(3000) < 0.4, ds.UP, ds.DOWN).tolist())
+_MIXED = tuple(np.where(np.random.default_rng(3).random(3000) < 0.4, 0, 1).tolist())
 
 
 @settings(max_examples=60, deadline=None)

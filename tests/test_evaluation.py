@@ -11,13 +11,13 @@ from setcast import evaluation as ev
 from setcast import svm
 from setcast.errors import DataFormatError
 
-from conftest import toy_dataset
+from conftest import records_from_matrix, toy_dataset
 
 TOL_3DP = 5.1e-4  # half an ulp at three printed decimals
 
 
 def report_from_matrix(matrix):
-    return ev.evaluate(*ev.records_from_matrix(matrix))
+    return ev.evaluate(*records_from_matrix(matrix))
 
 
 # ----------------------------------------------------------- matrix statistics
@@ -251,11 +251,11 @@ class MemorizingLearner:
         return "memorizer"
 
     def fit(self, dataset):
-        table = {tuple(x): lab for x, lab in zip(dataset.features, dataset.labels)}
+        table = {tuple(x): c for x, c in zip(dataset.features, dataset.y.tolist())}
 
         def predict_rows(X):
-            labels = [table.get(tuple(x), ds.UP) for x in X]
-            return np.eye(len(ds.CLASS_LABELS))[[ds.CLASS_LABELS.index(c) for c in labels]]
+            labels = [table.get(tuple(x), ds.CLASS_LABELS.index(ds.UP)) for x in X]
+            return np.eye(len(ds.CLASS_LABELS))[labels]
 
         return predict_rows, None
 

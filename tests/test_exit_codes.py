@@ -147,12 +147,19 @@ def test_negative_seed_exits_2_naming_the_flag(command, capsys):
     assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("folds", [1, 31])
+@pytest.mark.parametrize("command", ["cv", "compare"])
+def test_fold_count_out_of_range_exits_2_naming_the_flag(command, folds, capsys):
+    assert cli.main([command, "--folds", str(folds)]) == 2
+    assert capsys.readouterr().err == f"error: --folds must satisfy 2 <= k <= 30, got {folds}\n"
+
+
 @pytest.mark.parametrize("folds", [255, 256, 300])
 def test_every_fold_count_up_to_n_runs(folds, tmp_path):
     rng = np.random.default_rng(8)
     path = tmp_path / "samples.csv"
-    ds.save_samples(ds.Dataset(rng.normal(size=(300, 6)), tuple(
-        np.where(rng.random(300) < 0.5, ds.UP, ds.DOWN).tolist())), path)
+    ds.save_samples(ds.Dataset(rng.normal(size=(300, 6)),
+                               np.where(rng.random(300) < 0.5, 0, 1)), path)  # UP, DOWN
     output = tmp_path / "report"
     assert cli.main(["cv", "--model", "nb", "--data", str(path), "--folds", str(folds),
                      "--format", "machine", "--output", str(output)]) == 0

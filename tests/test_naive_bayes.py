@@ -24,7 +24,7 @@ def test_balanced_priors():
 
 
 def test_single_class_rejected():
-    data = ds.Dataset(np.zeros((3, 1)), (ds.UP,) * 3, ("x",))
+    data = ds.Dataset(np.zeros((3, 1)), [0] * 3, ("x",))  # all UP
     with pytest.raises(TrainingError):
         nb.estimate_priors(data)
     with pytest.raises(TrainingError):
@@ -75,7 +75,7 @@ def test_rounded_estimator_matches_independent_recomputation(market_data):
     """Differential check of the default trainer against a from-scratch
     reimplementation of the precision-rounding estimator."""
     model = nb.train(market_data)
-    labels = np.array(market_data.labels, dtype=object)
+    labels = np.array([ds.CLASS_LABELS[c] for c in market_data.y], dtype=object)
     for ai in range(6):
         column = market_data.features[:, ai]
         distinct = np.unique(column)
@@ -257,6 +257,6 @@ def test_overflowing_feature_raises_naming_the_sample(market_data):
 def test_overflowing_training_feature_names_attribute_and_class(market_data, estimator, value):
     X = market_data.features.copy()
     X[0, 2] = value  # a SET change in an UP row
-    data = ds.Dataset(X, market_data.labels)
+    data = ds.Dataset(X, market_data.y)
     with pytest.raises(DataFormatError, match="attribute SET, class UP"):
         nb.train(data, estimator=estimator)

@@ -10,21 +10,38 @@ from setcast import dataset as ds
 from setcast import svm
 from setcast.errors import DataFormatError, TrainingError
 
-from conftest import toy_dataset
+from conftest import hard_distribution, toy_dataset
 
 XOR = toy_dataset([[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]])
 
 
 # ---------------------------------------------------------------------- kernels
+def _kernel_eval(spec, x, z) -> float:
+    """The kernel on a single pair of equal-length vectors."""
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if spec.kind == svm.LINEAR:
+        return float(x @ z)
+    if spec.kind == svm.POLY:
+        return float((x @ z + 1.0) ** spec.degree)
+    diff = x - z
+    return float(np.exp(-(diff @ diff) / spec.delta_sq))
+
+
+def _kernel_value(spec, x, z) -> float:
+    """kernel_matrix on one row of each side."""
+    return float(svm.kernel_matrix(spec, [x], [z])[0, 0])
+
+
 def test_kernel_values():
-    assert svm.kernel_eval(svm.linear_kernel(), [1, 2], [3, 4]) == 11.0
-    assert svm.kernel_eval(svm.polynomial_kernel(2), [1, 1], [1, 1]) == 9.0
-    assert svm.kernel_eval(svm.rbf_kernel(3.7), [1.5, -2], [1.5, -2]) == 1.0
+    assert _kernel_value(svm.linear_kernel(), [1, 2], [3, 4]) == 11.0
+    assert _kernel_value(svm.polynomial_kernel(2), [1, 1], [1, 1]) == 9.0
+    assert _kernel_value(svm.rbf_kernel(3.7), [1.5, -2], [1.5, -2]) == 1.0
 
 
 def test_kernel_dimension_mismatch():
     with pytest.raises(DataFormatError):
-        svm.kernel_eval(svm.linear_kernel(), [1, 2], [1, 2, 3])
+        _kernel_value(svm.linear_kernel(), [1, 2], [1, 2, 3])
     model = _train(toy_dataset([[0, 0]], [[1, 1]]))
     with pytest.raises(DataFormatError):
         svm.decision_values(model, [[1.0, 2.0, 3.0]])
@@ -64,8 +81,8 @@ def vector_pair(draw):
 def test_kernel_symmetry(pair):
     x, z = pair
     for spec in (svm.linear_kernel(), svm.polynomial_kernel(3), svm.rbf_kernel(2.0)):
-        assert svm.kernel_eval(spec, x, z) == pytest.approx(
-            svm.kernel_eval(spec, z, x), rel=1e-12, abs=1e-12
+        assert _kernel_value(spec, x, z) == pytest.approx(
+            _kernel_value(spec, z, x), rel=1e-12, abs=1e-12
         )
 
 
@@ -76,7 +93,7 @@ def test_kernel_matrix_agrees_with_kernel_eval():
         K = svm.kernel_matrix(spec, X, Z)
         for i in range(4):
             for j in range(5):
-                assert K[i, j] == pytest.approx(svm.kernel_eval(spec, X[i], Z[j]))
+                assert K[i, j] == pytest.approx(_kernel_eval(spec, X[i], Z[j]))
 
 
 # ---------------------------------------------------------------------- training
@@ -105,7 +122,7 @@ def _predicted(model, X):
 
 def _training_accuracy(model, data):
     preds = _predicted(model, data.features)
-    return np.mean([p == t for p, t in zip(preds, data.labels)])
+    return np.mean([p == ds.CLASS_LABELS[t] for p, t in zip(preds, data.y)])
 
 
 def test_xor_kernels():
@@ -118,9 +135,9 @@ def test_xor_kernels():
 
 def test_training_preconditions():
     with pytest.raises(TrainingError):
-        _train(ds.Dataset(np.zeros((3, 1)), (ds.UP,) * 3, ("x",)))
+        _train(ds.Dataset(np.zeros((3, 1)), [0] * 3, ("x",)))  # all UP
     with pytest.raises(TrainingError):
-        _train(ds.Dataset(np.zeros((1, 1)), (ds.UP,), ("x",)))
+        _train(ds.Dataset(np.zeros((1, 1)), [0], ("x",)))
 
 
 def test_model_invariants_on_random_problems():
@@ -152,6 +169,30 @@ def test_linear_weight_vector_equivalence():
         )
 
 
+@pytest.mark.parametrize("c", [0.5, 2.0, 4.0])
+def test_linear_fit_is_scale_equivariant(c):
+    """Metamorphic: for the linear kernel, training on c * X with box C / c^2
+    scales every alpha by 1 / c^2 and leaves every decision value on c * x
+    unchanged.  With c a power of two every step scales exactly, so the
+    relation holds bit for bit; C >= 1 and C / c^2 >= 1 keep the snap
+    threshold 1e-10 * max(1, C) on the same scale."""
+    rng = np.random.default_rng(int(c * 4))
+    for _ in range(20):
+        n_up, n_down = rng.integers(2, 25, size=2)
+        d = int(rng.integers(1, 5))
+        data = toy_dataset(rng.normal(0.3, 1.0, size=(n_up, d)),
+                           rng.normal(-0.3, 1.0, size=(n_down, d)))
+        C = float(rng.choice([C for C in (1.0, 4.0, 16.0, 64.0) if C / c**2 >= 1]))
+        scaled_data = ds.Dataset(c * data.features, data.y, data.attribute_names)
+        model = _train(data, C=C)
+        scaled = _train(scaled_data, C=C / c**2)
+        X = rng.normal(size=(15, d))
+        assert (scaled.coefficients * c**2).tobytes() == model.coefficients.tobytes()
+        assert (svm.decision_values(scaled, c * X).tobytes()
+                == svm.decision_values(model, X).tobytes())
+        assert scaled.converged == model.converged
+
+
 def test_classification_rule():
     base = _train(toy_dataset([[1.0]], [[-1.0]]))
     up = svm.SvmModel(np.zeros((0, 1)), np.zeros(0), np.zeros(0), 2.3,
@@ -165,8 +206,8 @@ def test_classification_rule():
     assert _predicted(tie, [[0.0]]) == [ds.DOWN]  # exact zero -> DOWN
     # empty support set: decision value is the bias
     assert svm.decision_values(up, [[123.0]])[0] == 2.3
-    np.testing.assert_array_equal(svm.hard_distribution(up, [0.0]), [1.0, 0.0])
-    np.testing.assert_array_equal(svm.hard_distribution(tie, [0.0]), [0.0, 1.0])
+    np.testing.assert_array_equal(hard_distribution(up, [0.0]), [1.0, 0.0])
+    np.testing.assert_array_equal(hard_distribution(tie, [0.0]), [0.0, 1.0])
 
 
 @pytest.mark.parametrize("kernel", [svm.linear_kernel(), svm.rbf_kernel(1.0)],
@@ -181,7 +222,7 @@ def test_predict_proba_agrees_with_per_row_classify(kernel, monkeypatch):
     X = rng.normal(size=(23, 3))
     dist = svm.predict_proba(model, X)
     for row, x in zip(dist, X):
-        np.testing.assert_array_equal(row, svm.hard_distribution(model, x))
+        np.testing.assert_array_equal(row, hard_distribution(model, x))
     np.testing.assert_array_equal(dist.sum(axis=1), np.ones(23))
     unblocked = svm.kernel_matrix(kernel, X, model.support_vectors) @ (
         model.coefficients * model.labels) + model.bias
@@ -291,7 +332,7 @@ def _reference_worst_violation(alpha, y, f, C):
 def _reference_train_smo(dataset, kernel, config):
     n = len(dataset)
     X = dataset.features
-    y = svm.labels_to_pm1(dataset.labels)
+    y = np.where(dataset.y == ds.CLASS_LABELS.index(ds.UP), 1.0, -1.0)
     K = _reference_kernel_matrix(kernel, X, X)
     C, tol = config.C, config.kkt_tol
 
