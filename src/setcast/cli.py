@@ -19,6 +19,7 @@ Each command imports only the model and evaluation modules it uses, so that
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -99,12 +100,19 @@ def _data_path(args) -> str:
     return args.data if args.data else default_data_path()
 
 
-def _emit(text: str, output) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+@contextlib.contextmanager
+def _output(path):
+    """The file ``path`` opened for writing, or stdout when path is empty."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text: str, output) -> None:
+    with _output(output) as fh:
+        fh.write(text)
 
 
 def _make_learner(args, kind):
@@ -210,11 +218,10 @@ def cmd_predict(args) -> int:
     X, _ = ds.read_csv(_data_path(args), ds.FEATURES)  # (0, 6) for a header-only file
     dist = module.predict_proba(model, X)
     labels = ds.CLASS_LABELS
-    row = "%s" + ",%.17g" * len(labels) + "\n"
-    _emit("PREDICTED," + ",".join(f"P_{c}" for c in labels) + "\n"
-          + "".join(row % (labels[i], *p)
-                    for i, p in zip(np.argmax(dist, axis=1).tolist(), dist.tolist())),
-          args.output)
+    with _output(args.output) as fh:
+        fh.write("PREDICTED," + ",".join(f"P_{c}" for c in labels) + "\n")
+        ds.write_rows(fh, [c + ",%.17g" * len(labels) + "\n" for c in labels],
+                      dist, np.argmax(dist, axis=1))
     return 0
 
 

@@ -12,7 +12,6 @@ direction.  Raw price series can be converted into such samples with
 from __future__ import annotations
 
 import datetime
-import io
 import math
 import zlib
 from dataclasses import dataclass
@@ -32,6 +31,12 @@ LABEL_COLUMN = "SET_DIRECTION"
 
 #: Column order of the raw-series CSV format.
 RAW_COLUMNS = ("NK", "HS", "SET_CLOSE", "SET_OPEN", "USDTHB", "SP500", "GOLD")
+
+#: Characters of whole lines that read_csv parses at a time, so that a plain
+#: file's parse holds a few blocks beside the arrays it returns.
+BLOCK_CHARS = 1 << 16
+#: Rows that write_rows formats and writes at a time.
+BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -151,13 +156,20 @@ def read_csv(path, fmt: CsvFormat):
     a tuple of date strings for "date", and () for "".
 
     The accepted syntax is that of ``csv.reader`` cells converted by
-    ``float()``.  A file without quotes or lone carriage returns is parsed
-    column-wise by NumPy's C text parser; a file that parser rejects, or that
-    fails any check, is read again row by row, which raises DataFormatError
-    naming the first bad line.  Both paths return the same values.
+    ``float()``.  A file without quotes, lone carriage returns or NULs is
+    parsed column-wise by NumPy's C text parser, BLOCK_CHARS characters of
+    whole lines at a time; a file that parser rejects, or that fails any
+    check, is read again row by row, which raises DataFormatError naming the
+    first bad line.  Both paths return the same values.  An undecodable byte
+    anywhere in the file raises DataFormatError naming its offset.
     """
-    text = read_text(path, newline="")
-    values, keys = _read_columns(text, fmt) or _read_rows(path, text, fmt)
+    try:
+        with open(path, newline="\n", encoding="utf-8") as fh:
+            parsed = _read_columns(fh, fmt)
+        values, keys = parsed or _read_rows(path, fmt)
+    except UnicodeDecodeError:  # read whole, so the offset counts from the file's start
+        read_text(path, newline="")
+        raise
     return values, np.array(keys, dtype=np.int8) if fmt.key == "label" else tuple(keys)
 
 
@@ -169,36 +181,69 @@ def _token(cell: str, fmt: CsvFormat):
     return CLASS_LABELS.index(token) if token in CLASS_LABELS else None
 
 
-def _read_columns(text, fmt):
-    """read_csv's floats and per-row keys, read by columns, or None where
-    only the row reader can decide."""
-    text = text.replace("\r\n", "\n")
-    header, _, body = text.partition("\n")
-    header = tuple(h.strip() for h in header.split(","))
-    if fmt.blank_nan:  # twice for runs of blanks; float("nan") is np.nan, bit for bit
-        body = (body + "\n").replace(",,", ",nan,").replace(",,", ",nan,").replace(",\n", ",nan\n")
-    lines = [line for line in body.split("\n") if line]
-    cells = [line.rpartition(",")[2] if fmt.key == "label" else line.partition(",")[0]
-             for line in lines] if fmt.key else []
-    tokens = {cell: _token(cell, fmt) for cell in set(cells)}
-    if ('"' in text or "\r" in text or "\0" in text or header not in fmt.headers
-            or None in tokens.values()
-            or [line.count(",") for line in lines].count(len(header) - 1) != len(lines)):
-        return None
-    if not lines:
-        return np.empty((0, fmt.width)), []
-    try:
-        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
-                            usecols=range(fmt.first, fmt.first + fmt.width))
-    except ValueError:
-        return None
-    if fmt.finite and not np.isfinite(values).all():
-        return None
-    return values, [tokens[cell] for cell in cells]
+def _needs_rows(text) -> bool:
+    """Whether ``text`` (CRLF already made LF) holds a quote, a lone carriage
+    return or a NUL, which only the row reader reads as csv.reader does."""
+    return '"' in text or "\r" in text or "\0" in text
 
 
-def _read_rows(path, text, fmt):
-    """read_csv row by row, checking each row in file order."""
+def _read_columns(fh, fmt):
+    """read_csv's floats and per-row keys, read by columns from ``fh`` (opened
+    with newline="\\n") one block of lines at a time, or None where only the
+    row reader can decide."""
+    header = fh.readline().replace("\r\n", "\n")
+    if _needs_rows(header):
+        return None
+    header = tuple(h.strip() for h in header.partition("\n")[0].split(","))
+    if header not in fmt.headers:
+        return None
+    blocks, keys, tokens = [], [], {}
+    while text := "".join(fh.readlines(BLOCK_CHARS)):  # frees the line list before splitting
+        text = text.replace("\r\n", "\n")
+        if _needs_rows(text):
+            return None
+        if fmt.blank_nan:  # twice for runs of blanks; float("nan") is np.nan, bit for bit
+            text = (text + "\n").replace(",,", ",nan,").replace(",,", ",nan,").replace(",\n", ",nan\n")
+        lines = [line for line in text.split("\n") if line]
+        if [line.count(",") for line in lines].count(len(header) - 1) != len(lines):
+            return None
+        if fmt.key == "label":
+            cells = [line.rpartition(",")[2] for line in lines]
+            tokens.update((cell, _token(cell, fmt)) for cell in set(cells).difference(tokens))
+            if None in tokens.values():
+                return None
+            keys += map(tokens.__getitem__, cells)
+        elif fmt.key == "date":
+            keys += (line.partition(",")[0].strip() for line in lines)
+        if not lines:
+            continue
+        try:
+            values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                                usecols=range(fmt.first, fmt.first + fmt.width))
+        except ValueError:
+            return None
+        if fmt.finite and not np.isfinite(values).all():
+            return None
+        blocks.append(values)
+    if len(blocks) == 1:  # a file of one block is not copied
+        return blocks[0], keys
+    return np.concatenate(blocks) if blocks else np.empty((0, fmt.width)), keys
+
+
+def _read_rows(path, fmt):
+    """read_csv row by row, checking each row in file order.  A bad row
+    raises only once the rest of the file has decoded, since an undecodable
+    byte anywhere outranks it."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            return _checked_rows(path, fh, fmt)
+        except DataFormatError:
+            while fh.read(BLOCK_CHARS):
+                pass
+            raise
+
+
+def _checked_rows(path, fh, fmt):
     import csv
 
     def checked(reader):
@@ -207,7 +252,7 @@ def _read_rows(path, text, fmt):
         except csv.Error as exc:  # e.g. a cell beyond csv.field_size_limit()
             raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
 
-    reader = checked(csv.reader(io.StringIO(text, newline="")))
+    reader = checked(csv.reader(fh))
     header = next(reader, None)
     if header is None:
         raise DataFormatError(f"{path}: {fmt.no_header or fmt.bad_header}")
@@ -322,15 +367,24 @@ def save_samples(dataset: Dataset, path) -> None:
     digits per feature.  A value that those digits round beyond the float
     range (from ~1.7976931345e308 in magnitude) raises DataFormatError
     naming the sample, since the file could not be read back."""
-    for i in np.flatnonzero((np.abs(dataset.features) >= 1e308).any(axis=1)).tolist():
-        if not all(math.isfinite(float("%.10g" % v)) for v in dataset.features[i]):
+    x = dataset.features
+    for i in np.flatnonzero(((x >= 1e308) | (x <= -1e308)).any(axis=1)).tolist():
+        if not all(math.isfinite(float("%.10g" % v)) for v in x[i]):
             raise DataFormatError(f"sample {i + 1}: a feature value is too large in magnitude "
                                   "to write in ten significant digits")
-    row = "%.10g," * dataset.features.shape[1] + "%s\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(list(dataset.attribute_names) + [LABEL_COLUMN]) + "\n"
-                 + "".join(row % (*x, CLASS_LABELS[c])
-                           for x, c in zip(dataset.features.tolist(), dataset.y.tolist())))
+        fh.write(",".join(list(dataset.attribute_names) + [LABEL_COLUMN]) + "\n")
+        write_rows(fh, ["%.10g," * x.shape[1] + c + "\n" for c in CLASS_LABELS], x, dataset.y)
+
+
+def write_rows(fh, formats, values, y) -> None:
+    """Write ``formats[y[i]] % tuple(values[i])`` for every row i of the 2-D
+    ``values``, so each class index picks its own row format; BLOCK_ROWS rows
+    are formatted and written at a time."""
+    for lo in range(0, len(y), BLOCK_ROWS):
+        hi = lo + BLOCK_ROWS
+        fh.write("".join(formats[c] % tuple(row)
+                         for row, c in zip(values[lo:hi].tolist(), y[lo:hi].tolist())))
 
 
 def load_raw_series(path) -> RawSeries:
@@ -369,7 +423,9 @@ def build_training_table(series: RawSeries) -> Dataset:
             raise DataFormatError(f"previous price must be positive, got {nonpositive[0]}")
         raise DataFormatError("prices must be positive")
     with np.errstate(over="ignore"):  # a non-finite change is reported below
-        features = 100.0 * (curr - prev) / prev
+        features = curr - prev  # in place from here: 100 * (curr - prev) / prev, bit for bit
+        features *= 100.0
+        features /= prev
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
         raise DataFormatError(f"{series.dates[keep[bad[0] + 1]]}: a percent change "

@@ -193,6 +193,23 @@ def test_predict_resubstitution_confusion(tmp_path):
     np.testing.assert_array_equal(confusion, [[16, 0], [6, 8]])
 
 
+@pytest.mark.parametrize("model", ["nb", "svm"])
+def test_predict_rows_are_the_same_in_any_block_size(tmp_path, capsys, monkeypatch, model):
+    model_path, out = tmp_path / "m.model", tmp_path / "pred.csv"
+    assert run("train", "--model", model, "--output", str(model_path)) == 0
+    module = naive_bayes if model == "nb" else svm
+    dist = module.predict_proba(module.load_model(model_path),
+                                ds.load_samples(cli.default_data_path()).features)
+    want = "PREDICTED,P_UP,P_DOWN\n" + "".join(
+        "%s,%.17g,%.17g\n" % (ds.CLASS_LABELS[int(np.argmax(p))], *p) for p in dist)
+    capsys.readouterr()
+    for rows in (1, 7, ds.BLOCK_ROWS):
+        monkeypatch.setattr(ds, "BLOCK_ROWS", rows)
+        assert run("predict", "--model-file", str(model_path), "--output", str(out)) == 0
+        assert run("predict", "--model-file", str(model_path)) == 0
+        assert out.read_text() == capsys.readouterr().out == want
+
+
 def test_predict_empty_sample_file(tmp_path, capsys):
     model_path = tmp_path / "nb.model"
     assert run("train", "--model", "nb", "--output", str(model_path)) == 0

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -540,10 +541,18 @@ def _assert_reads_as_reference(kind, text, path):
     assert keys == ref_keys
 
 
+#: Reader block sizes under test: one line per block, a few lines per block,
+#: and the default, under which these small files are one block.
+BLOCKS = [1, 40, ds.BLOCK_CHARS]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
 @settings(max_examples=400, deadline=None)
 @given(csv_files())
-def test_reader_matches_row_by_row_reference(tmp_path_factory, case):
-    _assert_reads_as_reference(*case, tmp_path_factory.mktemp("csv") / "data.csv")
+def test_reader_matches_row_by_row_reference(tmp_path_factory, block, case):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ds, "BLOCK_CHARS", block)
+        _assert_reads_as_reference(*case, tmp_path_factory.mktemp("csv") / "data.csv")
 
 
 _S = ",".join(READERS["samples"][2])
@@ -574,12 +583,33 @@ _F = ",".join(READERS["features"][2])
     ("features", ""),
     ("features", _F + "\n1,2,nan,4,5,6\n"),
     ("features+label", _F + ",SET_DIRECTION\n1,2,3,4,5,6,garbage\n1,2,3,4,5,6,\"U,P\"\n"),
+    # each oddity below first shows after two plain rows, so in a later block
+    # than the first whenever a block holds fewer than three rows
+    ("samples", _S + "\n1,2,3,4,5,6,UP\n1,2,3,4,5,6,DOWN\n\"1.5\",2,3,4,5,6,UP\n"),
+    ("samples", _S + "\n1,2,3,4,5,6,UP\n1,2,3,4,5,6,DOWN\n1,2,3,4,5,6,UP\r1,2,3,4,5,6,UP\n"),
+    ("samples", _S + "\n1,2,3,4,5,6,UP\n1,2,3,4,5,6,DOWN\n1,2,3\r,4,5,6,UP\n"),
+    ("samples", _S + "\n1,2,3,4,5,6,UP\n1,2,3,4,5,6,DOWN\n1,2,3,4,5\x00,6,UP\n"),
+    ("samples", "NK\r,HS,SET,USDTHB,SP500,GOLD,SET_DIRECTION\n1,2,3,4,5,6,UP\n"),
+    ("samples", _S + "\n1,2,3,4,5,6,UP\n1,2,3,4,5,6,DOWN\n1,2,3,4,5,6,SIDEWAYS\n"),
+    ("samples", _S + "\n1,2,3,4,5,6,UP\n1,2,3,4,5,6,DOWN\n1,2,3,4,5,6,UP,7\n"),
+    ("samples", _S + "\n1,2,3,4,5,6,UP\n1,2,3,4,5,6,DOWN\n1,2,3,inf,5,6,UP\n"),
+    ("samples", _S + "\n1,2,3,4,5,6,UP\n1,2,3,4,5,6,DOWN\n1,2,3,x,5,6,UP\n"),
+    ("samples", _S + "\n1,2,3,4,5,6,UP\n\n\n\n1,2,3,4,5,6,DOWN\n"),  # blank-only blocks
+    ("raw", _R + "\nd,1,2,3,4,5,6,7\nd,1,2,3,4,5,6,7\nd,,,3,4,5,6,\nd,1,2\n"),
+    ("raw", _R + "\r\nd,1,2,3,4,5,6,7\r\nd,1,2,3,4,5,6,7\r\nd,1,2,3,4,5,6,\r\n"),
+    ("features", _F + "\n1,2,3,4,5,6\n1,2,3,4,5,6\n1,2,3,4,nan,6\n"),
+    ("features+label", _F + ",SET_DIRECTION\n1,2,3,4,5,6,UP\n1,2,3,4,5,6,\n1,2,3,4,5,6\n"),
 ])
-def test_reader_matches_reference_on_edge_files(tmp_path, kind, text):
+@pytest.mark.parametrize("block", BLOCKS)
+def test_reader_matches_reference_on_edge_files(tmp_path, monkeypatch, block, kind, text):
+    monkeypatch.setattr(ds, "BLOCK_CHARS", block)
     _assert_reads_as_reference(kind, text, tmp_path / "data.csv")
 
 
-def test_plain_files_are_read_by_columns(five_day_csv, market_data, tmp_path, monkeypatch):
+@pytest.mark.parametrize("block", BLOCKS)
+def test_plain_files_are_read_by_columns(five_day_csv, market_data, tmp_path, monkeypatch,
+                                         block):
+    monkeypatch.setattr(ds, "BLOCK_CHARS", block)
     samples = tmp_path / "samples.csv"
     ds.save_samples(market_data, samples)
     samples.write_bytes(samples.read_bytes().replace(b"\n", b"\r\n"))
@@ -587,17 +617,42 @@ def test_plain_files_are_read_by_columns(five_day_csv, market_data, tmp_path, mo
     def refuse(*args):
         raise AssertionError("fell back to the row reader")
 
+    gappy = tmp_path / "gappy.csv"  # blank cells, the last one unterminated
+    gappy.write_text(_R + "\n2010-01-04,1,,,4,5,6,\n2010-01-05,,2,3,4,5,6,")
+
     monkeypatch.setattr(ds, "_read_rows", refuse)
     assert ds.load_samples(samples).y.tolist() == market_data.y.tolist()
     assert _read_features(samples).tobytes() == market_data.features.tobytes()
     assert ds.load_raw_series(five_day_csv).dates[0] == "2010-01-04"
+    np.testing.assert_array_equal(ds.load_raw_series(gappy).values,
+                                  [[1, np.nan, np.nan, 4, 5, 6, np.nan],
+                                   [np.nan, 2, 3, 4, 5, 6, np.nan]])
 
 
-def test_decode_error_is_data_format_error(tmp_path):
-    path = tmp_path / "latin1.csv"
-    path.write_bytes(b"NK,HS,SET,USDTHB,SP500,GOLD,SET_DIRECTION\n1,2,3,4,5,6,\xe9\n")
-    with pytest.raises(DataFormatError, match="utf-8"):
-        ds.load_samples(path)
+@pytest.mark.parametrize("block", [1, ds.BLOCK_CHARS])
+@pytest.mark.parametrize("kind, bad_row, pad", [
+    ("samples", "", 0),  # in the first block
+    ("samples", "", 2),  # past the first block and TextIOWrapper's first 8 KiB chunk
+    ("samples", '"1",2,3,4,5,6,UP\n', 2),  # a quoted row before it: read row by row
+    ("samples", "1,2\n", 2),  # a short row before it: the row reader's error loses
+    ("raw", "2010-01-04,1,2\n", 2),
+])
+def test_decode_error_is_data_format_error(tmp_path, monkeypatch, block, kind, bad_row, pad):
+    """An undecodable byte raises read_text's message, whose byte position
+    counts from the start of the file, wherever the byte is."""
+    read, _, header = READERS[kind]
+    good = "2010-01-04,1,2,3,4,5,6,7\n" if kind == "raw" else "1,2,3,4,5,6,UP\n"
+    head = ",".join(header) + "\n" + bad_row + good * (pad * ds.BLOCK_CHARS // len(good))
+    path = tmp_path / "data.csv"
+    path.write_bytes(head.encode() + b"1,2,3,4,5,6,\xe9\n" + good.encode() * 3)
+    monkeypatch.setattr(ds, "BLOCK_CHARS", block)
+    with pytest.raises(DataFormatError) as want:
+        ds.read_text(path, newline="")
+    assert "utf-8" in str(want.value)
+    assert f"position {len(head) + len('1,2,3,4,5,6,')}" in str(want.value)
+    with pytest.raises(DataFormatError) as got:
+        read(path)
+    assert str(got.value) == str(want.value)
 
 
 def test_cell_beyond_csv_field_limit_is_data_format_error(tmp_path):
@@ -608,7 +663,9 @@ def test_cell_beyond_csv_field_limit_is_data_format_error(tmp_path):
         ds.load_samples(path)
 
 
-def test_save_samples_matches_csv_writer(market_data, tmp_path):
+@pytest.mark.parametrize("rows", [1, 4, ds.BLOCK_ROWS])
+def test_save_samples_matches_csv_writer(market_data, tmp_path, monkeypatch, rows):
+    monkeypatch.setattr(ds, "BLOCK_ROWS", rows)
     rng = np.random.default_rng(4)
     odd = ds.Dataset(np.vstack([rng.normal(size=(5, 6)) * 10.0 ** rng.integers(-320, 300, size=(5, 6)),
                                 [[-0.0, 0.0, 1e-310, 123456789012.0, 1 / 3, -2.5e-7]]]),
@@ -617,6 +674,41 @@ def test_save_samples_matches_csv_writer(market_data, tmp_path):
         ds.save_samples(data, tmp_path / "new.csv")
         _reference_save_samples(data, tmp_path / "ref.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _traced_peak(call, *args):
+    """The tracemalloc peak, in bytes, of one ``call(*args)``, and its result."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_ingest_memory_is_bounded_by_a_block(tmp_path):
+    """Reading a ~10k-day raw series holds under 3x the file (the whole-text
+    reader held ~5.8x), and writing its samples holds less than the file it
+    writes: neither keeps the whole text nor one Python object per cell."""
+    rng = np.random.default_rng(3)
+    days = 10_000
+    prices = 100.0 * np.exp(np.cumsum(rng.standard_normal((days, 7)) * 0.01, axis=0))
+    dates = np.datetime64("1990-01-01") + np.arange(days)
+    lines = [",".join(("DATE",) + ds.RAW_COLUMNS)]
+    for date, row, missing in zip(dates, prices, rng.random(days) < 0.01):
+        cells = [f"{v:.4f}" for v in row]
+        lines.append(",".join([str(date)] + (cells[:-1] + [""] if missing else cells)))
+    raw, out = tmp_path / "raw.csv", tmp_path / "samples.csv"
+    raw.write_text("\n".join(lines) + "\n")
+    ds.load_raw_series(raw)  # first calls import and cache what they need
+    ds.save_samples(ds.build_training_table(ds.load_raw_series(raw)), out)
+
+    peak, series = _traced_peak(ds.load_raw_series, raw)
+    assert len(series) == days
+    assert peak < 3 * raw.stat().st_size, (peak, raw.stat().st_size)
+    table = ds.build_training_table(series)
+    peak, _ = _traced_peak(ds.save_samples, table, out)
+    assert peak < out.stat().st_size, (peak, out.stat().st_size)
 
 
 @settings(max_examples=150, deadline=None)
