@@ -202,11 +202,12 @@ def cmd_train(args) -> int:
 
 
 def _load_any_model(path):
-    """The module that reads and applies a model file, and the model in it."""
-    first = ds.read_text(path).partition("\n")[0].strip()
-    if first == "model = nb":
+    """The module that reads and applies a model file, chosen by the file's
+    ``model`` key, and the model in it."""
+    kind = ds.KeyValueFile(path).model
+    if kind == "nb":
         from . import naive_bayes as module
-    elif first == "model = svm":
+    elif kind == "svm":
         from . import svm as module
     else:
         raise DataFormatError(f"{path}: unreadable model file")

@@ -141,9 +141,9 @@ FEATURES = CsvFormat((ATTRIBUTE_NAMES, _SAMPLE_HEADER), 0, 6, "", "unrecognized 
                      "{got} values, header has {want}", "missing header", finite=True)
 
 
-def read_text(path, newline=None) -> str:
+def read_text(path) -> str:
     """A whole UTF-8 text file; undecodable bytes raise DataFormatError."""
-    with open(path, newline=newline, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
@@ -168,7 +168,7 @@ def read_csv(path, fmt: CsvFormat):
             parsed = _read_columns(fh, fmt)
         values, keys = parsed or _read_rows(path, fmt)
     except UnicodeDecodeError:  # read whole, so the offset counts from the file's start
-        read_text(path, newline="")
+        read_text(path)
         raise
     return values, np.array(keys, dtype=np.int8) if fmt.key == "label" else tuple(keys)
 
@@ -197,7 +197,7 @@ def _read_columns(fh, fmt):
     header = tuple(h.strip() for h in header.partition("\n")[0].split(","))
     if header not in fmt.headers:
         return None
-    blocks, keys, tokens = [], [], {}
+    blocks, keys, tokens = [np.empty((0, fmt.width))], [], {}
     while text := "".join(fh.readlines(BLOCK_CHARS)):  # frees the line list before splitting
         text = text.replace("\r\n", "\n")
         if _needs_rows(text):
@@ -225,9 +225,7 @@ def _read_columns(fh, fmt):
         if fmt.finite and not np.isfinite(values).all():
             return None
         blocks.append(values)
-    if len(blocks) == 1:  # a file of one block is not copied
-        return blocks[0], keys
-    return np.concatenate(blocks) if blocks else np.empty((0, fmt.width)), keys
+    return np.concatenate(blocks), keys
 
 
 def _read_rows(path, fmt):
@@ -298,7 +296,8 @@ class KeyValueFile:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join([f"model = {model}", f"format = {cls.FORMAT}", *lines]) + "\n")
 
-    def __init__(self, path, model: str, what: str):
+    def __init__(self, path):
+        """Read every entry; ``model`` is the file's kind, None if it has none."""
         self.path = path
         self.entries = {}
         for line in read_text(path).split("\n"):
@@ -307,12 +306,18 @@ class KeyValueFile:
                 raise DataFormatError(f"{path}: duplicate key {key!r}")
             if key:
                 self.entries[key] = value
-        if self.entries.pop("model", None) != model:
-            raise DataFormatError(f"{path}: not {what} model file")
+        self.model = self.entries.pop("model", None)
+
+    def require(self, model: str, what: str) -> "KeyValueFile":
+        """This file, checked to be a ``model`` file (``what`` names that kind
+        in the error) of format FORMAT."""
+        if self.model != model:
+            raise DataFormatError(f"{self.path}: not {what} model file")
         found = self.entries.pop("format", None)
         if found != self.FORMAT:
-            raise DataFormatError(f"{path}: expected model-file format {self.FORMAT}, "
+            raise DataFormatError(f"{self.path}: expected model-file format {self.FORMAT}, "
                                   f"found {'none' if found is None else repr(found)}")
+        return self
 
     def text(self, key) -> str:
         try:
@@ -411,11 +416,12 @@ def build_training_table(series: RawSeries) -> Dataset:
     keep = np.flatnonzero(np.isfinite(series.values).all(axis=1))
     if len(keep) < 3:
         raise DataFormatError("need at least 3 complete days to build samples")
-    vals = series.values[keep]
     col = {name: i for i, name in enumerate(RAW_COLUMNS)}
     feature_cols = [col[c] for c in ("NK", "HS", "SET_CLOSE", "USDTHB", "SP500", "GOLD")]
-    prev, curr = vals[:-2, feature_cols], vals[1:-1, feature_cols]
-    open_, close = vals[2:, col["SET_OPEN"]], vals[2:, col["SET_CLOSE"]]
+    prices = series.values[np.ix_(keep[:-1], feature_cols)]  # prev and curr view it
+    prev, curr = prices[:-1], prices[1:]
+    day = keep[2:]  # day t of each sample
+    open_, close = series.values[day, col["SET_OPEN"]], series.values[day, col["SET_CLOSE"]]
     bad = np.flatnonzero((prev <= 0).any(axis=1) | (open_ <= 0) | (close <= 0))
     if bad.size:  # the first bad day; its feature prices before its SET session
         nonpositive = prev[bad[0]][prev[bad[0]] <= 0]

@@ -215,22 +215,17 @@ class NaiveBayesLearner:
 
 class SvmLearner:
     """Adapter giving the SMO trainer the cross-validation interface;
-    distributions are one-hot on the hard classification.  Every fit writes
-    its kernel matrix into one buffer the learner keeps."""
+    distributions are one-hot on the hard classification."""
 
     def __init__(self, kernel=None, config=None):
         self.kernel = kernel or svm.linear_kernel()
         self.config = config or svm.TrainerConfig()
-        self._buffer = np.empty(0)  # grown when a fold needs more room
 
     def describe(self) -> str:
         return f"svm ({self.kernel.describe()}, C={self.config.C})"
 
     def fit(self, dataset: Dataset):
-        if self._buffer.size < len(dataset) ** 2:
-            self._buffer = None  # never two buffers live at once
-            self._buffer = np.empty(len(dataset) ** 2)
-        model = svm.train_smo(dataset, self.kernel, self.config, self._buffer)
+        model = svm.train_smo(dataset, self.kernel, self.config)
         return partial(svm.predict_proba, model), model.converged
 
 

@@ -167,7 +167,7 @@ def load_model(path) -> NaiveBayesModel:
     """Inverse of :func:`save_model`.  A missing, malformed or extra entry, a
     ``classes`` line other than ``UP,DOWN``, or a prior or sigma that is not
     positive raises DataFormatError."""
-    f = KeyValueFile(path, "nb", "a naive Bayes")
+    f = KeyValueFile(path).require("nb", "a naive Bayes")
     f.choice("classes", (",".join(CLASS_LABELS),))
     attribute_names = tuple(f.text("attributes").split(","))
     estimator = f.choice("estimator", ("rounded", "plain"))

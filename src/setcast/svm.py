@@ -18,10 +18,10 @@ restricted to each set, whose argmax and argmin give the pair.  Only alpha_i
 and alpha_j move, so g changes by two kernel rows and set membership changes
 only at i and j.
 
-A fit holds one n x n kernel matrix, 8n^2 bytes, and no other n x n array: the
-RBF kernel is built in place with one block of rows as its only temporary.
-A caller that fits many times, such as the cross-validation learner, passes
-one ``buffer`` that every fit's kernel matrix reuses.
+A fit allocates one n x n kernel matrix, 8n^2 bytes, and no other n x n
+array: the RBF kernel is built in place with one block of rows as its only
+temporary.  No model array refers to the kernel matrix, so it is freed when
+the fit returns.
 
 Class mapping is fixed: UP -> +1, DOWN -> -1, and a decision value of exactly
 zero classifies as DOWN.  :func:`decision_values` and :func:`predict_proba`
@@ -127,17 +127,14 @@ class SvmModel:
     kkt_violation: float = float("nan")
 
 
-def kernel_matrix(spec: KernelSpec, X, Z, buffer=None) -> np.ndarray:
-    """Kernel evaluations between the rows of X (n, d) and Z (m, d).
-
-    With ``buffer``, a flat float64 array of at least n*m items, the result
-    is written into its first n*m items and returned as an (n, m) view."""
+def kernel_matrix(spec: KernelSpec, X, Z) -> np.ndarray:
+    """Kernel evaluations between the rows of X (n, d) and Z (m, d)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     if X.shape[1] != Z.shape[1]:
         raise DataFormatError(f"dimension mismatch: {X.shape[1]} vs {Z.shape[1]}")
     n, m = len(X), len(Z)
-    inner = np.matmul(X, Z.T, out=None if buffer is None else buffer[:n * m].reshape(n, m))
+    inner = X @ Z.T
     if spec.kind == LINEAR:
         return inner
     if spec.kind == POLY:
@@ -160,12 +157,9 @@ def kernel_matrix(spec: KernelSpec, X, Z, buffer=None) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises instead
-def train_smo(dataset: Dataset, kernel: KernelSpec, config: TrainerConfig,
-              buffer=None) -> SvmModel:
-    """Solve the dual problem on a two-class dataset.
-
-    The n x n kernel matrix goes into ``buffer`` when one is given (see
-    :func:`kernel_matrix`); no reference to it outlives the call.
+def train_smo(dataset: Dataset, kernel: KernelSpec, config: TrainerConfig) -> SvmModel:
+    """Solve the dual problem on a two-class dataset.  The n x n kernel
+    matrix is allocated here and freed on return.
 
     Raises TrainingError when only one class is present or fewer than two
     samples exist, and DataFormatError when the kernel matrix or the fitted
@@ -181,7 +175,7 @@ def train_smo(dataset: Dataset, kernel: KernelSpec, config: TrainerConfig,
         raise TrainingError(f"single-class training data: {counts}")
     X = dataset.features
     y = np.where(dataset.y == CLASS_LABELS.index(UP), 1.0, -1.0)
-    K = kernel_matrix(kernel, X, X, buffer)  # bitwise symmetric: row K[i] is column i
+    K = kernel_matrix(kernel, X, X)  # bitwise symmetric: row K[i] is column i
     _require_finite(K, dataset, kernel)
     C, tol = config.C, config.kkt_tol
 
@@ -329,16 +323,8 @@ def _worst_violation(alpha, y, f, C):
 
 def _package(X, alpha, y, b, kernel, C, converged, worst):
     keep = alpha > 0
-    return SvmModel(
-        X[keep].copy(),
-        alpha[keep].copy(),
-        y[keep].copy(),
-        float(b),
-        kernel,
-        float(C),
-        bool(converged),
-        float(worst),
-    )
+    return SvmModel(X[keep], alpha[keep], y[keep], float(b), kernel, float(C),
+                    bool(converged), float(worst))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises instead
@@ -398,7 +384,7 @@ def save_model(model: SvmModel, path) -> None:
 def load_model(path) -> SvmModel:
     """Inverse of :func:`save_model`.  A missing, malformed or extra entry
     raises DataFormatError."""
-    f = KeyValueFile(path, "svm", "an SVM")
+    f = KeyValueFile(path).require("svm", "an SVM")
     kind = f.choice("kernel", (LINEAR, POLY, RBF))
     kernel = KernelSpec(
         kind,

@@ -647,7 +647,7 @@ def test_decode_error_is_data_format_error(tmp_path, monkeypatch, block, kind, b
     path.write_bytes(head.encode() + b"1,2,3,4,5,6,\xe9\n" + good.encode() * 3)
     monkeypatch.setattr(ds, "BLOCK_CHARS", block)
     with pytest.raises(DataFormatError) as want:
-        ds.read_text(path, newline="")
+        ds.read_text(path)
     assert "utf-8" in str(want.value)
     assert f"position {len(head) + len('1,2,3,4,5,6,')}" in str(want.value)
     with pytest.raises(DataFormatError) as got:
@@ -688,8 +688,10 @@ def _traced_peak(call, *args):
 
 def test_ingest_memory_is_bounded_by_a_block(tmp_path):
     """Reading a ~10k-day raw series holds under 3x the file (the whole-text
-    reader held ~5.8x), and writing its samples holds less than the file it
-    writes: neither keeps the whole text nor one Python object per cell."""
+    reader held ~5.8x), building its samples under 2.5x (one copy of the
+    feature prices beside the result; three copies held ~3.1x), and writing
+    them holds less than the file it writes: neither keeps the whole text
+    nor one Python object per cell."""
     rng = np.random.default_rng(3)
     days = 10_000
     prices = 100.0 * np.exp(np.cumsum(rng.standard_normal((days, 7)) * 0.01, axis=0))
@@ -706,7 +708,8 @@ def test_ingest_memory_is_bounded_by_a_block(tmp_path):
     peak, series = _traced_peak(ds.load_raw_series, raw)
     assert len(series) == days
     assert peak < 3 * raw.stat().st_size, (peak, raw.stat().st_size)
-    table = ds.build_training_table(series)
+    peak, table = _traced_peak(ds.build_training_table, series)
+    assert peak < 2.5 * raw.stat().st_size, (peak, raw.stat().st_size)
     peak, _ = _traced_peak(ds.save_samples, table, out)
     assert peak < out.stat().st_size, (peak, out.stat().st_size)
 

@@ -113,6 +113,18 @@ def test_truncated_or_non_numeric_model_file_exits_2(module, kind, tmp_path, cap
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_predict_reads_every_layout_that_load_model_reads(saved_models, tmp_path):
+    # predict picks the model by its model key, wherever that line is
+    path = tmp_path / "moved.model"
+    for module, text, predicted in saved_models:
+        first, second, *rest = text.splitlines(True)
+        for edited in ("\n" + text, "".join([second, first, *rest])):
+            path.write_text(edited)
+            module.save_model(module.load_model(path), tmp_path / "again.model")
+            assert (tmp_path / "again.model").read_text() == text
+            assert predicted[0] == 0 and _predict(path, tmp_path) == predicted
+
+
 def test_unknown_duplicate_or_inconsistent_entries_are_rejected(saved_models, tmp_path):
     path = tmp_path / "edited.model"
     for module, text, _ in saved_models:
