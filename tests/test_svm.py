@@ -448,19 +448,28 @@ def test_solver_matches_reference_at_large_feature_scale(kernel, C):
 @pytest.mark.parametrize("kernel", KERNELS + [svm.polynomial_kernel(3)],
                          ids=["linear", "poly", "rbf", "poly degree=3"])
 def test_kernel_matrix_matches_reference_and_is_symmetric(kernel):
-    # 300 x 500 spans ten RBF row blocks
     rng = np.random.default_rng(8)
     X, Z = rng.normal(size=(40, 6)), rng.normal(size=(25, 6))
-    A, B = rng.normal(size=(300, 4)), rng.normal(size=(500, 4))
+    assert (svm.kernel_matrix(kernel, X, Z).tobytes()
+            == _reference_kernel_matrix(kernel, X, Z).tobytes())
+    K = svm.kernel_matrix(kernel, X, X)
+    assert K.tobytes() == _reference_kernel_matrix(kernel, X, X).tobytes()
+    # the solver reads row K[i] in place of column K[:, i]
+    assert K.tobytes() == np.ascontiguousarray(K.T).tobytes()
+
+
+@pytest.mark.parametrize("kernel", KERNELS + [svm.polynomial_kernel(3)],
+                         ids=lambda k: k.describe())
+def test_kernel_matrix_across_row_blocks(kernel):
+    # 300 x 500 spans ten RBF row blocks
+    rng = np.random.default_rng(10)
+    X, Z = rng.normal(size=(300, 4)), rng.normal(size=(500, 4))
     assert 300 * 500 * 8 > 8 * svm.KERNEL_BLOCK_BYTES
-    for P, Q in ((X, Z), (A, B)):
-        assert (svm.kernel_matrix(kernel, P, Q).tobytes()
-                == _reference_kernel_matrix(kernel, P, Q).tobytes())
-    for P in (X, B):
-        K = svm.kernel_matrix(kernel, P, P)
-        assert K.tobytes() == _reference_kernel_matrix(kernel, P, P).tobytes()
-        # the solver reads row K[i] in place of column K[:, i]
-        assert K.tobytes() == np.ascontiguousarray(K.T).tobytes()
+    for A, B in ((Z, Z), (X, Z), (X, X)):
+        assert (svm.kernel_matrix(kernel, A, B).tobytes()
+                == _reference_kernel_matrix(kernel, A, B).tobytes())
+    K = svm.kernel_matrix(kernel, Z, Z)
+    assert K.tobytes() == np.ascontiguousarray(K.T).tobytes()
 
 
 def test_rbf_fit_holds_one_kernel_matrix():
