@@ -14,7 +14,7 @@ omitted; the environment variable SETCAST_DATA_DIR points the default lookup
 at a different directory.
 
 Each command imports only the model and evaluation modules it uses, so that
-``ingest`` loads neither model and ``predict`` loads one.
+``ingest`` loads neither model and ``train``, ``predict`` and ``cv`` load one.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ import contextlib
 import math
 import os
 import sys
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -115,14 +116,6 @@ def _emit(text: str, output) -> None:
         fh.write(text)
 
 
-def _make_learner(args, kind):
-    from . import evaluation
-
-    if kind == "nb":
-        return evaluation.NaiveBayesLearner(priors=args.priors)
-    return evaluation.SvmLearner(_kernel_from_args(args), _config_from_args(args))
-
-
 def _positive(args, name):
     """The value of the flag ``--name`` (dashes for underscores), which must
     be finite and > 0."""
@@ -148,21 +141,31 @@ def _folds(args, data) -> int:
     return args.folds
 
 
-def _kernel_from_args(args):
-    from . import svm
+def _module(kind):
+    """The module of model ``kind``, "nb" or "svm", imported on first use."""
+    if kind == "nb":
+        from . import naive_bayes as module
+    else:
+        from . import svm as module
+    return module
 
-    if args.kernel == svm.POLY:
-        return svm.polynomial_kernel(_positive(args, "degree"))
-    if args.kernel == svm.RBF:
-        return svm.rbf_kernel(_positive(args, "delta_sq"))
-    return svm.linear_kernel()
 
-
-def _config_from_args(args):
-    from . import svm
-
-    return svm.TrainerConfig(C=_positive(args, "cost"), kkt_tol=_positive(args, "kkt_tol"),
-                             max_passes=_positive(args, "max_passes"))
+def _model(args, kind):
+    """The module of model ``kind``, its trainer configured by the flags, and
+    the model's name in reports."""
+    module = _module(kind)
+    if kind == "nb":
+        return module, partial(module.train, priors=args.priors), "nb"
+    if args.kernel == module.POLY:
+        kernel = module.polynomial_kernel(_positive(args, "degree"))
+    elif args.kernel == module.RBF:
+        kernel = module.rbf_kernel(_positive(args, "delta_sq"))
+    else:
+        kernel = module.linear_kernel()
+    config = module.TrainerConfig(C=_positive(args, "cost"), kkt_tol=_positive(args, "kkt_tol"),
+                                  max_passes=_positive(args, "max_passes"))
+    return (module, partial(module.train_smo, kernel=kernel, config=config),
+            f"svm ({kernel.describe()}, C={config.C})")
 
 
 def _config_lines(args, *, model=None) -> list:
@@ -185,37 +188,20 @@ def cmd_train(args) -> int:
     data = ds.load_samples(_data_path(args))
     if not args.output:
         raise DataFormatError("train requires --output for the model file")
-    if args.model == "nb":
-        from . import naive_bayes
-
-        model = naive_bayes.train(data, priors=args.priors)
-        naive_bayes.save_model(model, args.output)
-    else:
-        from . import svm
-
-        model = svm.train_smo(data, _kernel_from_args(args), _config_from_args(args))
-        svm.save_model(model, args.output)
-        if not model.converged:
-            print("warning: SMO hit the pass budget before converging",
-                  file=sys.stderr)
+    module, train, _ = _model(args, args.model)
+    model = train(data)
+    module.save_model(model, args.output)
+    if not getattr(model, "converged", True):
+        print("warning: SMO hit the pass budget before converging", file=sys.stderr)
     return 0
 
 
-def _load_any_model(path):
-    """The module that reads and applies a model file, chosen by the file's
-    ``model`` key, and the model in it."""
-    kind = ds.KeyValueFile(path).model
-    if kind == "nb":
-        from . import naive_bayes as module
-    elif kind == "svm":
-        from . import svm as module
-    else:
-        raise DataFormatError(f"{path}: unreadable model file")
-    return module, module.load_model(path)
-
-
 def cmd_predict(args) -> int:
-    module, model = _load_any_model(args.model_file)
+    model_file = ds.KeyValueFile(args.model_file)
+    if model_file.model not in ("nb", "svm"):
+        raise DataFormatError(f"{args.model_file}: unreadable model file")
+    module = _module(model_file.model)
+    model = module.load_model(model_file)
     X, _ = ds.read_csv(_data_path(args), ds.FEATURES)  # (0, 6) for a header-only file
     dist = module.predict_proba(model, X)
     labels = ds.CLASS_LABELS
@@ -230,15 +216,16 @@ def cmd_cv(args) -> int:
     from . import evaluation
 
     data = ds.load_samples(_data_path(args))
-    learner = _make_learner(args, args.model)
+    module, train, name = _model(args, args.model)
     seed = _seed(args)
-    report, _ = evaluation.cross_validate(data, learner, _folds(args, data), seed)
+    report, _ = evaluation.cross_validate(data, train, module.predict_proba,
+                                          _folds(args, data), seed)
     if args.format == "machine":
-        header = _config_lines(args, model=learner.describe())
+        header = _config_lines(args, model=name)
         text = "\n".join(header) + "\n" + evaluation.render_machine(report)
     else:
         text = (
-            f"Cross-validation: {learner.describe()}, {args.folds} folds, "
+            f"Cross-validation: {name}, {args.folds} folds, "
             f"seed {args.seed}\n\n" + evaluation.render_text(report)
         )
     _emit(text, args.output)
@@ -260,8 +247,8 @@ def cmd_compare(args) -> int:
     data = ds.load_samples(_data_path(args))
     seed, k = _seed(args), _folds(args, data)
     (nb_report, nb_folds), (svm_report, svm_folds) = (
-        evaluation.cross_validate(data, _make_learner(args, kind), k, seed)
-        for kind in ("nb", "svm"))
+        evaluation.cross_validate(data, train, module.predict_proba, k, seed)
+        for module, train, _ in (_model(args, kind) for kind in ("nb", "svm")))
     if nb_folds.digest() != svm_folds.digest():
         raise AssertionError("fold assignments diverged between models")
 

@@ -35,7 +35,8 @@ RAW_COLUMNS = ("NK", "HS", "SET_CLOSE", "SET_OPEN", "USDTHB", "SP500", "GOLD")
 #: Characters of whole lines that read_csv parses at a time, so that a plain
 #: file's parse holds a few blocks beside the arrays it returns.
 BLOCK_CHARS = 1 << 16
-#: Rows that write_rows formats and writes at a time.
+#: Rows that write_rows formats and writes, and the row reader holds as
+#: Python floats, at a time.
 BLOCK_ROWS = 1024
 
 
@@ -257,7 +258,7 @@ def _checked_rows(path, fh, fmt):
     header = tuple(h.strip() for h in header)
     if header not in fmt.headers:
         raise DataFormatError(f"{path}: {fmt.bad_header}")
-    rows, keys = [], []
+    blocks, rows, keys = [], [], []
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -276,7 +277,11 @@ def _checked_rows(path, fh, fmt):
             keys.append(_token(row[-1 if fmt.key == "label" else 0], fmt))
             if keys[-1] is None:
                 raise DataFormatError(f"{path}:{lineno}: unknown label {row[-1]!r}")
-    return np.array(rows, dtype=float).reshape(len(rows), fmt.width), keys
+        if len(rows) == BLOCK_ROWS:
+            blocks.append(np.array(rows, dtype=float))
+            rows = []
+    blocks.append(np.array(rows, dtype=float).reshape(len(rows), fmt.width))
+    return np.concatenate(blocks), keys
 
 
 class KeyValueFile:
@@ -295,6 +300,11 @@ class KeyValueFile:
         """Write a ``model`` file: its kind and format lines, then ``lines``."""
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join([f"model = {model}", f"format = {cls.FORMAT}", *lines]) + "\n")
+
+    @classmethod
+    def of(cls, source) -> "KeyValueFile":
+        """``source`` itself if it is a KeyValueFile, else the file at that path."""
+        return source if isinstance(source, cls) else cls(source)
 
     def __init__(self, path):
         """Read every entry; ``model`` is the file's kind, None if it has none."""

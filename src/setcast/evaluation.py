@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from . import naive_bayes, svm
 from .dataset import CLASS_LABELS, Dataset, stratified_folds
 from .errors import DataFormatError
 
@@ -62,7 +60,7 @@ class EvaluationReport:
     weighted: PerClassMetrics
     warnings: tuple = ()
     fold_digest: Optional[str] = None
-    # (converged fits, folds) for learners whose fit reports convergence
+    # (converged fits, folds) for models that report convergence
     svm_folds_converged: Optional[tuple] = None
 
     @property
@@ -199,65 +197,35 @@ def evaluate(actual_idx, dist, baseline=None, *, fold_digest=None) -> Evaluation
                             fold_digest)
 
 
-class NaiveBayesLearner:
-    """Adapter giving the naive Bayes trainer the cross-validation interface."""
-
-    def __init__(self, **train_options):
-        self.train_options = train_options
-
-    def describe(self) -> str:
-        return "nb"
-
-    def fit(self, dataset: Dataset):
-        model = naive_bayes.train(dataset, **self.train_options)
-        return partial(naive_bayes.predict_proba, model), None
-
-
-class SvmLearner:
-    """Adapter giving the SMO trainer the cross-validation interface;
-    distributions are one-hot on the hard classification."""
-
-    def __init__(self, kernel=None, config=None):
-        self.kernel = kernel or svm.linear_kernel()
-        self.config = config or svm.TrainerConfig()
-
-    def describe(self) -> str:
-        return f"svm ({self.kernel.describe()}, C={self.config.C})"
-
-    def fit(self, dataset: Dataset):
-        model = svm.train_smo(dataset, self.kernel, self.config)
-        return partial(svm.predict_proba, model), model.converged
-
-
 def smoothed_class_distribution(dataset: Dataset) -> np.ndarray:
     """Add-one-smoothed class frequencies, the per-fold baseline predictor."""
     return (dataset.class_counts() + 1) / (len(dataset) + len(CLASS_LABELS))
 
 
-def cross_validate(dataset: Dataset, learner, k: int, seed: int):
-    """Stratified k-fold cross-validation of a learner.
+def cross_validate(dataset: Dataset, train, predict, k: int, seed: int):
+    """Stratified k-fold cross-validation of a trainer and its predictor.
 
     Returns (EvaluationReport, FoldAssignment).  Predictions are pooled in
     (fold, within-fold) order, so the report is deterministic for a fixed
     seed.
 
-    ``learner.fit(train_set)`` returns ``(predict_rows, converged)``:
-    ``predict_rows(X)`` maps (n, d) feature rows to (n, k) distributions, and
-    ``converged`` is None for a trainer without an iterative solver.  When it
-    is not, the report counts the converged folds and warns if any did not.
+    ``train(train_set)`` returns a model, and ``predict(model, X)`` maps its
+    (n, d) feature rows to (n, k) distributions.  When the model has a
+    ``converged`` field, as an SVM's does, the report counts the converged
+    folds and warns if any did not.
     """
     folds = stratified_folds(dataset, k, seed)
     tests, dists, baselines, flags = [], [], [], []
     for f in range(k):
         train_set = dataset.subset(folds.train_indices(f))
-        predict_rows, converged = learner.fit(train_set)
+        model = train(train_set)
         test = folds.test_indices(f)
-        dists.append(predict_rows(dataset.features[test]))
+        dists.append(predict(model, dataset.features[test]))
         baselines.append(np.broadcast_to(smoothed_class_distribution(train_set),
                                          dists[-1].shape))
         tests.append(test)
-        if converged is not None:
-            flags.append(converged)
+        if hasattr(model, "converged"):
+            flags.append(model.converged)
 
     report = evaluate(dataset.y[np.concatenate(tests)], np.concatenate(dists),
                       np.concatenate(baselines), fold_digest=folds.digest())

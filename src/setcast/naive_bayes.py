@@ -163,11 +163,12 @@ def save_model(model: NaiveBayesModel, path) -> None:
     KeyValueFile.write(path, "nb", lines)
 
 
-def load_model(path) -> NaiveBayesModel:
-    """Inverse of :func:`save_model`.  A missing, malformed or extra entry, a
-    ``classes`` line other than ``UP,DOWN``, or a prior or sigma that is not
-    positive raises DataFormatError."""
-    f = KeyValueFile(path).require("nb", "a naive Bayes")
+def load_model(source) -> NaiveBayesModel:
+    """Inverse of :func:`save_model`, from a path or a read KeyValueFile.  A
+    missing, malformed or extra entry, a ``classes`` line other than
+    ``UP,DOWN``, or a prior or sigma that is not positive raises
+    DataFormatError."""
+    f = KeyValueFile.of(source).require("nb", "a naive Bayes")
     f.choice("classes", (",".join(CLASS_LABELS),))
     attribute_names = tuple(f.text("attributes").split(","))
     estimator = f.choice("estimator", ("rounded", "plain"))

@@ -157,9 +157,11 @@ def kernel_matrix(spec: KernelSpec, X, Z) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises instead
-def train_smo(dataset: Dataset, kernel: KernelSpec, config: TrainerConfig) -> SvmModel:
-    """Solve the dual problem on a two-class dataset.  The n x n kernel
-    matrix is allocated here and freed on return.
+def train_smo(dataset: Dataset, kernel: KernelSpec = KernelSpec(LINEAR),
+              config: TrainerConfig = TrainerConfig()) -> SvmModel:
+    """Solve the dual problem on a two-class dataset, by default with a linear
+    kernel and the default TrainerConfig.  The n x n kernel matrix is
+    allocated here and freed on return.
 
     Raises TrainingError when only one class is present or fewer than two
     samples exist, and DataFormatError when the kernel matrix or the fitted
@@ -381,10 +383,10 @@ def save_model(model: SvmModel, path) -> None:
     KeyValueFile.write(path, "svm", lines)
 
 
-def load_model(path) -> SvmModel:
-    """Inverse of :func:`save_model`.  A missing, malformed or extra entry
-    raises DataFormatError."""
-    f = KeyValueFile(path).require("svm", "an SVM")
+def load_model(source) -> SvmModel:
+    """Inverse of :func:`save_model`, from a path or a read KeyValueFile.  A
+    missing, malformed or extra entry raises DataFormatError."""
+    f = KeyValueFile.of(source).require("svm", "an SVM")
     kind = f.choice("kernel", (LINEAR, POLY, RBF))
     kernel = KernelSpec(
         kind,
@@ -402,7 +404,7 @@ def load_model(path) -> SvmModel:
         for i in range(m)
     ]
     if len({len(v) for v in vectors}) > 1:
-        raise DataFormatError(f"{path}: support vectors differ in length")
+        raise DataFormatError(f"{f.path}: support vectors differ in length")
     f.finish()
     return SvmModel(
         np.array(vectors) if m else np.zeros((0, 0)),

@@ -210,6 +210,17 @@ def test_predict_rows_are_the_same_in_any_block_size(tmp_path, capsys, monkeypat
         assert out.read_text() == capsys.readouterr().out == want
 
 
+@pytest.mark.parametrize("model", ["nb", "svm"])
+def test_predict_reads_its_model_file_once(tmp_path, monkeypatch, model):
+    model_path = tmp_path / "m.model"
+    assert run("train", "--model", model, "--output", str(model_path)) == 0
+    reads, read_text = [], ds.read_text
+    monkeypatch.setattr(ds, "read_text", lambda path: reads.append(path) or read_text(path))
+    assert run("predict", "--model-file", str(model_path),
+               "--output", str(tmp_path / "pred.csv")) == 0
+    assert reads == [str(model_path)]
+
+
 def test_predict_empty_sample_file(tmp_path, capsys):
     model_path = tmp_path / "nb.model"
     assert run("train", "--model", "nb", "--output", str(model_path)) == 0
@@ -345,6 +356,18 @@ def test_cv_text_layout(capsys):
     assert f"{'Correctly classified instances':40s}{20:6d}" in out
 
 
+def test_cv_names_the_model_and_its_settings(tmp_path, capsys):
+    path = tmp_path / "cv.txt"
+    assert run("cv", "--format", "machine", "--output", str(path)) == 0
+    assert path.read_text().splitlines()[1] == "model = nb"
+    rbf = ("--model", "svm", "--kernel", "rbf", "--delta-sq", "2", "--cost", "4")
+    assert run("cv", *rbf, "--format", "machine", "--output", str(path)) == 0
+    assert path.read_text().splitlines()[1] == "model = svm (rbf delta_sq=2.0, C=4.0)"
+    assert run("cv", *rbf) == 0
+    assert capsys.readouterr().out.startswith(
+        "Cross-validation: svm (rbf delta_sq=2.0, C=4.0), 10 folds, seed 1\n")
+
+
 def test_cv_reports_svm_folds_that_did_not_converge(tmp_path, capsys):
     def machine(*flags):
         path = tmp_path / "cv.txt"
@@ -461,6 +484,30 @@ def test_model_commands_load_no_rng_masked_arrays_or_openssl(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
+
+
+@pytest.mark.parametrize("command, kind, loaded", [
+    ("cv", "nb", ["evaluation", "naive_bayes"]),
+    ("cv", "svm", ["evaluation", "svm"]),
+    ("predict", "nb", ["naive_bayes"]),
+    ("predict", "svm", ["svm"]),
+], ids=["cv-nb", "cv-svm", "predict-nb", "predict-svm"])
+def test_commands_load_only_the_model_module_they_use(tmp_path, command, kind, loaded):
+    """cv loads the one model module its --model names, and predict the one
+    its model file names."""
+    argv = ["cv", "--model", kind]
+    if command == "predict":
+        argv = ["predict", "--model-file", str(tmp_path / "m.model")]
+        assert run("train", "--model", kind, "--output", argv[-1]) == 0
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = ("import sys; from setcast.cli import main\n"
+            f"assert main({argv + ['--output', str(tmp_path / 'out')]!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('setcast.')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    want = sorted(f"setcast.{m}" for m in ["cli", "dataset", "errors", *loaded])
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", f"{want}\n")
 
 
 # ------------------------------------------------------------------ data lookup

@@ -714,6 +714,26 @@ def test_ingest_memory_is_bounded_by_a_block(tmp_path):
     assert peak < out.stat().st_size, (peak, out.stat().st_size)
 
 
+def test_row_reader_memory_is_bounded_by_a_block(tmp_path):
+    """A ~0.8 MB sample file that only the row reader reads, for one quoted
+    cell, holds under 2x the file (one list of floats per row held ~4.3x)
+    and reads as the same file without the quotes."""
+    rng = np.random.default_rng(5)
+    data = ds.Dataset(rng.normal(0.0, 1.5, size=(9_000, 6)), rng.integers(0, 2, 9_000))
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    ds.save_samples(data, plain)
+    header, first, rest = plain.read_text().split("\n", 2)
+    cell, tail = first.split(",", 1)
+    quoted.write_text(f'{header}\n"{cell}",{tail}\n{rest}')
+    ds.load_samples(quoted)  # first calls import and cache what they need
+
+    peak, got = _traced_peak(ds.load_samples, quoted)
+    assert peak < 2 * quoted.stat().st_size, (peak, quoted.stat().st_size)
+    want = ds.load_samples(plain)
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.y.tobytes() == want.y.tobytes()
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_build_training_table_matches_per_day_loop(data):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from setcast import dataset as ds
 from setcast import evaluation as ev
+from setcast import naive_bayes as nb
 from setcast import svm
 from setcast.errors import DataFormatError
 
@@ -198,7 +200,7 @@ def test_smoothed_class_distribution(market_data):
 
 # --------------------------------------------------------------- cross-validation
 def test_cross_validate_naive_bayes_frozen(market_data):
-    report, folds = ev.cross_validate(market_data, ev.NaiveBayesLearner(), 10, 1)
+    report, folds = ev.cross_validate(market_data, nb.train, nb.predict_proba, 10, 1)
     assert (report.n, report.correct) == (30, 19)
     assert report.rae == pytest.approx(79.39640570815253, abs=1e-9)
     assert report.rrse == pytest.approx(108.76560666771722, abs=1e-9)
@@ -206,7 +208,7 @@ def test_cross_validate_naive_bayes_frozen(market_data):
 
 
 def test_cross_validate_svm_frozen(market_data):
-    report, _ = ev.cross_validate(market_data, ev.SvmLearner(), 10, 1)
+    report, _ = ev.cross_validate(market_data, svm.train_smo, svm.predict_proba, 10, 1)
     assert (report.n, report.correct) == (30, 20)
 
 
@@ -214,12 +216,13 @@ def test_cross_validate_svm_frozen(market_data):
                          ids=["linear", "rbf"])
 def test_a_reused_svm_learner_matches_fresh_ones(kernel):
     rng = np.random.default_rng(13)
-    learner = ev.SvmLearner(kernel)
+    train = partial(svm.train_smo, kernel=kernel)
     for n in (120, 300, 80):
         data = toy_dataset(rng.normal(0.3, 1.0, size=(n // 2, 4)),
                            rng.normal(-0.3, 1.0, size=(n - n // 2, 4)))
-        reused, _ = ev.cross_validate(data, learner, 10, 3)
-        fresh, _ = ev.cross_validate(data, ev.SvmLearner(kernel), 10, 3)
+        reused, _ = ev.cross_validate(data, train, svm.predict_proba, 10, 3)
+        fresh, _ = ev.cross_validate(data, partial(svm.train_smo, kernel=kernel),
+                                     svm.predict_proba, 10, 3)
         assert ev.render_machine(reused) == ev.render_machine(fresh)
 
 
@@ -231,46 +234,37 @@ def test_rbf_cross_validation_holds_one_kernel_matrix():
                        rng.normal(-0.3, 1.0, size=(500, 6)))
     tracemalloc.start()
     try:
-        ev.cross_validate(data, ev.SvmLearner(svm.rbf_kernel(1.0)), 10, 1)
+        ev.cross_validate(data, partial(svm.train_smo, kernel=svm.rbf_kernel(1.0)),
+                          svm.predict_proba, 10, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 8 * 900 ** 2
 
 
-class MemorizingLearner:
-    """Answers the stored label for feature rows seen in training and UP
-    otherwise; detects any leakage of test rows into the training partition."""
+def memorize(dataset):
+    """A training partition's label of each feature row: with
+    :func:`recall`, a predictor that detects any leakage of test rows into
+    the training partition."""
+    return {tuple(x): c for x, c in zip(dataset.features, dataset.y.tolist())}
 
-    def describe(self):
-        return "memorizer"
 
-    def fit(self, dataset):
-        table = {tuple(x): c for x, c in zip(dataset.features, dataset.y.tolist())}
-
-        def predict_rows(X):
-            labels = [table.get(tuple(x), ds.CLASS_LABELS.index(ds.UP)) for x in X]
-            return np.eye(len(ds.CLASS_LABELS))[labels]
-
-        return predict_rows, None
+def recall(table, X):
+    """The stored label for feature rows seen in training and UP otherwise."""
+    labels = [table.get(tuple(x), ds.CLASS_LABELS.index(ds.UP)) for x in X]
+    return np.eye(len(ds.CLASS_LABELS))[labels]
 
 
 def test_no_test_row_leaks_into_training(market_data):
-    report, _ = ev.cross_validate(market_data, MemorizingLearner(), 30, 0)
+    report, _ = ev.cross_validate(market_data, memorize, recall, 30, 0)
     # all fixture rows are distinct, so every held-out row must fall back to UP
     assert report.correct == 16
     np.testing.assert_array_equal(report.confusion, [[16, 0], [14, 0]])
 
 
-def test_learner_descriptions():
-    assert ev.NaiveBayesLearner().describe() == "nb"
-    svm_learner = ev.SvmLearner(svm.rbf_kernel(2.0), svm.TrainerConfig(C=4.0))
-    assert svm_learner.describe() == "svm (rbf delta_sq=2.0, C=4.0)"
-
-
 # ------------------------------------------------------------------- rendering
 def test_render_text_layout(market_data):
-    report, _ = ev.cross_validate(market_data, ev.NaiveBayesLearner(), 10, 1)
+    report, _ = ev.cross_validate(market_data, nb.train, nb.predict_proba, 10, 1)
     text = ev.render_text(report)
     for block in ("=== Summary ===", "=== Detailed accuracy by class ===",
                   "=== Confusion matrix ==="):
@@ -284,7 +278,7 @@ def test_render_text_layout(market_data):
 
 
 def test_render_machine_keys(market_data):
-    report, folds = ev.cross_validate(market_data, ev.NaiveBayesLearner(), 10, 1)
+    report, folds = ev.cross_validate(market_data, nb.train, nb.predict_proba, 10, 1)
     machine = ev.render_machine(report)
     entries = dict(
         line.partition(" = ")[::2] for line in machine.strip().splitlines()
