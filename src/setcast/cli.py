@@ -127,18 +127,14 @@ def _positive(args, name):
     return value
 
 
-def _seed(args) -> int:
-    """The value of ``--seed``, which must be >= 0."""
+def _folds(args, data):
+    """The fold assignment of ``data`` that ``--folds`` and ``--seed`` ask
+    for; --seed must be >= 0, then --folds must satisfy 2 <= k <= len(data)."""
     if args.seed < 0:
         raise DataFormatError(f"--seed must be >= 0, got {args.seed}")
-    return args.seed
-
-
-def _folds(args, data) -> int:
-    """The value of ``--folds``, which must satisfy 2 <= k <= len(data)."""
     if not 2 <= args.folds <= len(data):
         raise DataFormatError(f"--folds must satisfy 2 <= k <= {len(data)}, got {args.folds}")
-    return args.folds
+    return ds.stratified_folds(data, args.folds, args.seed)
 
 
 def _module(kind):
@@ -192,7 +188,9 @@ def cmd_train(args) -> int:
     model = train(data)
     module.save_model(model, args.output)
     if not getattr(model, "converged", True):
-        print("warning: SMO hit the pass budget before converging", file=sys.stderr)
+        print("warning: SMO hit the pass budget before converging" if model.stop == "pass budget"
+              else f"warning: SMO stopped ({model.stop}) before converging; KKT violation "
+              f"{model.kkt_violation:.3g}", file=sys.stderr)
     return 0
 
 
@@ -217,9 +215,7 @@ def cmd_cv(args) -> int:
 
     data = ds.load_samples(_data_path(args))
     module, train, name = _model(args, args.model)
-    seed = _seed(args)
-    report, _ = evaluation.cross_validate(data, train, module.predict_proba,
-                                          _folds(args, data), seed)
+    report = evaluation.cross_validate(data, train, module.predict_proba, _folds(args, data))
     if args.format == "machine":
         header = _config_lines(args, model=name)
         text = "\n".join(header) + "\n" + evaluation.render_machine(report)
@@ -245,16 +241,14 @@ def cmd_compare(args) -> int:
     from . import evaluation
 
     data = ds.load_samples(_data_path(args))
-    seed, k = _seed(args), _folds(args, data)
-    (nb_report, nb_folds), (svm_report, svm_folds) = (
-        evaluation.cross_validate(data, train, module.predict_proba, k, seed)
+    folds = _folds(args, data)
+    nb_report, svm_report = (
+        evaluation.cross_validate(data, train, module.predict_proba, folds)
         for module, train, _ in (_model(args, kind) for kind in ("nb", "svm")))
-    if nb_folds.digest() != svm_folds.digest():
-        raise AssertionError("fold assignments diverged between models")
 
     if args.format == "machine":
         lines = _config_lines(args)
-        lines.append(f"fold_digest = {nb_folds.digest()}")
+        lines.append(f"fold_digest = {folds.digest()}")
         for prefix, report in (("nb", nb_report), ("svm", svm_report)):
             for line in evaluation.render_machine(report).splitlines():
                 lines.append(f"{prefix}.{line}")
@@ -264,7 +258,7 @@ def cmd_compare(args) -> int:
     width = 34
     lines = [
         f"Model comparison on identical folds (k={args.folds}, seed {args.seed}, "
-        f"digest {nb_folds.digest()})",
+        f"digest {folds.digest()})",
         "",
         f"{'':{width}s}{'naive Bayes':>16s}{'SVM':>16s}",
     ]

@@ -245,21 +245,21 @@ def _read_rows(path, fmt):
 def _checked_rows(path, fh, fmt):
     import csv
 
-    def checked(reader):
+    def checked(reader):  # each record with the line on which it ends
         try:
-            yield from reader
+            yield from ((reader.line_num, row) for row in reader)
         except csv.Error as exc:  # e.g. a cell beyond csv.field_size_limit()
             raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
 
-    reader = checked(csv.reader(fh))
-    header = next(reader, None)
+    records = checked(csv.reader(fh))
+    _, header = next(records, (0, None))
     if header is None:
         raise DataFormatError(f"{path}: {fmt.no_header or fmt.bad_header}")
     header = tuple(h.strip() for h in header)
     if header not in fmt.headers:
         raise DataFormatError(f"{path}: {fmt.bad_header}")
     blocks, rows, keys = [], [], []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in records:
         if not row:
             continue
         if len(row) != len(header):

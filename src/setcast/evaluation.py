@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import CLASS_LABELS, Dataset, stratified_folds
+from .dataset import CLASS_LABELS, Dataset, FoldAssignment
 from .errors import DataFormatError
 
 DIST_TOL = 1e-9
@@ -202,21 +202,21 @@ def smoothed_class_distribution(dataset: Dataset) -> np.ndarray:
     return (dataset.class_counts() + 1) / (len(dataset) + len(CLASS_LABELS))
 
 
-def cross_validate(dataset: Dataset, train, predict, k: int, seed: int):
-    """Stratified k-fold cross-validation of a trainer and its predictor.
-
-    Returns (EvaluationReport, FoldAssignment).  Predictions are pooled in
-    (fold, within-fold) order, so the report is deterministic for a fixed
-    seed.
+def cross_validate(dataset: Dataset, train, predict, folds: FoldAssignment) -> EvaluationReport:
+    """Cross-validation of a trainer and its predictor over ``folds``, which
+    puts each row of ``dataset`` in one of ``folds.k`` folds (an assignment
+    of another length raises DataFormatError).  Predictions are pooled in
+    (fold, within-fold) order, so a fixed assignment gives a fixed report.
 
     ``train(train_set)`` returns a model, and ``predict(model, X)`` maps its
     (n, d) feature rows to (n, k) distributions.  When the model has a
     ``converged`` field, as an SVM's does, the report counts the converged
     folds and warns if any did not.
     """
-    folds = stratified_folds(dataset, k, seed)
+    if len(folds.assignment) != len(dataset):
+        raise DataFormatError(f"{len(folds.assignment)} fold indices for {len(dataset)} rows")
     tests, dists, baselines, flags = [], [], [], []
-    for f in range(k):
+    for f in range(folds.k):
         train_set = dataset.subset(folds.train_indices(f))
         model = train(train_set)
         test = folds.test_indices(f)
@@ -230,12 +230,12 @@ def cross_validate(dataset: Dataset, train, predict, k: int, seed: int):
     report = evaluate(dataset.y[np.concatenate(tests)], np.concatenate(dists),
                       np.concatenate(baselines), fold_digest=folds.digest())
     if flags:
-        m = sum(flags)
+        m, k = sum(flags), folds.k
         warnings = report.warnings
         if m < k:
             warnings += (f"SMO did not converge in {k - m} of {k} folds",)
         report = replace(report, warnings=warnings, svm_folds_converged=(m, k))
-    return report, folds
+    return report
 
 
 def _fmt(value: float, digits: int = 4) -> str:

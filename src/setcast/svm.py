@@ -114,7 +114,9 @@ class SvmModel:
 
     ``kkt_violation`` is the largest per-sample KKT violation measured on the
     training set right after optimization; ``converged`` is true when it fell
-    within the configured tolerance before the pass budget ran out.
+    within the configured tolerance before the pass budget ran out.  ``stop``
+    names the exit that ended the SMO loop: "gap reached", "pass budget",
+    "stuck pair", "no move" or "snapped back"; a loaded model's is empty.
     """
 
     support_vectors: np.ndarray  # (m, d)
@@ -125,6 +127,7 @@ class SvmModel:
     C: float
     converged: bool
     kkt_violation: float = float("nan")
+    stop: str = ""
 
 
 def kernel_matrix(spec: KernelSpec, X, Z) -> np.ndarray:
@@ -190,7 +193,7 @@ def train_smo(dataset: Dataset, kernel: KernelSpec = KernelSpec(LINEAR),
     a, ys, diag = [0.0] * n, y.tolist(), K.diagonal().tolist()
     snap = 1e-10 * max(1.0, C)
     budget = config.max_passes * n
-    converged = False
+    stop = "pass budget"
     for _ in range(budget):
         np.subtract(y_up, g, out=Fu)
         np.subtract(y_low, g, out=Fl)
@@ -200,7 +203,7 @@ def train_smo(dataset: Dataset, kernel: KernelSpec = KernelSpec(LINEAR),
         # also stops on it
         gap = Fu.item(i) - Fl.item(j)
         if gap <= tol:
-            converged = True
+            stop = "gap reached"
             break
         yi, yj = ys[i], ys[j]
         s = yi * yj
@@ -210,7 +213,8 @@ def train_smo(dataset: Dataset, kernel: KernelSpec = KernelSpec(LINEAR),
         else:
             lo, hi = max(0.0, ai_old + aj_old - C), min(C, ai_old + aj_old)
         if lo >= hi:
-            break  # most violating pair cannot move: genuinely stuck
+            stop = "stuck pair"  # most violating pair cannot move
+            break
         eta = diag[i] + diag[j] - 2.0 * K.item(i, j)
         if eta > 0:
             aj_new = float(min(max(aj_old - yj * gap / eta, lo), hi))
@@ -220,6 +224,7 @@ def train_smo(dataset: Dataset, kernel: KernelSpec = KernelSpec(LINEAR),
                 alpha, y, K, i, j, s, hi
             ) else hi
         if aj_new == aj_old:
+            stop = "no move"
             break
         ai_new = ai_old + s * (aj_old - aj_new)
         if ai_new < snap:
@@ -233,6 +238,7 @@ def train_smo(dataset: Dataset, kernel: KernelSpec = KernelSpec(LINEAR),
         if ai_new == ai_old and aj_new == aj_old:
             # snapped back: a no-op step leaves a, g and both index sets as
             # they were, so every later iteration would repeat it
+            stop = "snapped back"
             break
         np.multiply(K[i], (ai_new - ai_old) * yi, out=step_i)
         np.multiply(K[j], (aj_new - aj_old) * yj, out=step_j)
@@ -250,7 +256,8 @@ def train_smo(dataset: Dataset, kernel: KernelSpec = KernelSpec(LINEAR),
     f = g + b
     _require_finite(f, dataset, kernel)
     worst = _worst_violation(alpha, y, f, C)
-    return _package(X, alpha, y, b, kernel, C, converged and worst <= tol, worst)
+    return _package(X, alpha, y, b, kernel, C, stop == "gap reached" and worst <= tol, worst,
+                    stop)
 
 
 def _require_finite(values, dataset, kernel):
@@ -323,10 +330,10 @@ def _worst_violation(alpha, y, f, C):
     return float(violation.max(initial=0.0))  # NaN stays NaN
 
 
-def _package(X, alpha, y, b, kernel, C, converged, worst):
+def _package(X, alpha, y, b, kernel, C, converged, worst, stop):
     keep = alpha > 0
     return SvmModel(X[keep], alpha[keep], y[keep], float(b), kernel, float(C),
-                    bool(converged), float(worst))
+                    bool(converged), float(worst), stop)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises instead

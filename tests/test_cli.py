@@ -129,8 +129,24 @@ def test_train_warns_when_pass_budget_hit(tmp_path, capsys):
     path = tmp_path / "svm.model"
     assert run("train", "--model", "svm", "--max-passes", "1",
                "--output", str(path)) == 0
-    assert "pass budget" in capsys.readouterr().err
+    assert capsys.readouterr().err == "warning: SMO hit the pass budget before converging\n"
     assert not svm.load_model(path).converged
+
+
+def test_train_names_the_exit_of_an_unconverged_fit(tmp_path, capsys):
+    # at feature scale 1e6 the first SMO step snaps back, before any pass ends
+    rng = np.random.default_rng(0)
+    X, up = rng.normal(scale=1e6, size=(30, 6)), rng.random(30) < 0.5
+    samples = tmp_path / "large.csv"
+    samples.write_text("NK,HS,SET,USDTHB,SP500,GOLD,SET_DIRECTION\n" + "".join(
+        ",".join("%.4f" % v for v in x) + (",UP\n" if u else ",DOWN\n") for x, u in zip(X, up)))
+    path = tmp_path / "svm.model"
+    assert run("train", "--model", "svm", "--data", str(samples), "--output", str(path)) == 0
+    err = capsys.readouterr().err
+    assert err == ("warning: SMO stopped (snapped back) before converging; "
+                   "KKT violation 1\n")
+    model = svm.load_model(path)
+    assert not model.converged and len(model.coefficients) == 0
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -439,6 +455,20 @@ def test_compare_text_report(capsys):
     for row in ("Accuracy (%)", "Mean absolute error", "Root mean squared error",
                 "Relative absolute error (%)", "Root relative squared error (%)"):
         assert row in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_compare_assigns_the_folds_once(fmt, monkeypatch, capsys):
+    calls, stratified_folds = [], ds.stratified_folds
+
+    def counting(*args):
+        calls.append(stratified_folds(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(ds, "stratified_folds", counting)
+    assert run("compare", "--format", fmt) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.count(calls[0].digest()) == 3  # header, nb and svm
 
 
 def test_compare_single_class_data(tmp_path, capsys):

@@ -316,9 +316,10 @@ def _reference_load_samples(path):
             raise DataFormatError(f"{path}: expected header {','.join(expected)}")
         rows = []
         labels = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            lineno = reader.line_num  # the line on which the record ends
             if len(row) != len(expected):
                 raise DataFormatError(
                     f"{path}:{lineno}: expected {len(expected)} columns, got {len(row)}"
@@ -347,9 +348,10 @@ def _reference_load_raw_series(path):
             raise DataFormatError(f"{path}: expected header {','.join(expected)}")
         dates = []
         values = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            lineno = reader.line_num  # the line on which the record ends
             if len(row) != len(expected):
                 raise DataFormatError(
                     f"{path}:{lineno}: expected {len(expected)} columns, got {len(row)}"
@@ -381,9 +383,10 @@ def _reference_load_sample_matrix(path):
             raise DataFormatError(f"{path}: unrecognized sample header")
         width = len(ds.ATTRIBUTE_NAMES)
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            lineno = reader.line_num  # the line on which the record ends
             if len(row) != len(header):
                 raise DataFormatError(
                     f"{path}:{lineno}: {len(row)} values, header has {len(header)}"
@@ -575,6 +578,8 @@ _F = ",".join(READERS["features"][2])
     ("samples", _S + "\n1,2,3,4,5,6,SIDEWAYS\n1,x,3,4,5,6,UP\n"),  # first bad row wins
     ("samples", _S + "\n1,x,3,4,5,6,UP\n1,2\n"),
     ("samples", _S + "\n1,2,nan,4,5,6,UP\n"),
+    # a quoted cell from line 2 to line 3: the bad row is reported at line 5
+    ("samples", _S + '\n"1.5\n",2,3,4,5,6,UP\n1,2,3,4,5,6,DOWN\n1,x,3,4,5,6,UP\n'),
     ("samples", _S + "\n1,2,3,4,5,6,UP\x00\n"),
     ("samples", _S + "\n\u0661,2,3,4,5,6,UP\n"),  # a non-ASCII digit, as float() reads it
     ("samples", _S),
@@ -604,6 +609,16 @@ _F = ",".join(READERS["features"][2])
 def test_reader_matches_reference_on_edge_files(tmp_path, monkeypatch, block, kind, text):
     monkeypatch.setattr(ds, "BLOCK_CHARS", block)
     _assert_reads_as_reference(kind, text, tmp_path / "data.csv")
+
+
+def test_row_reader_names_the_physical_line(tmp_path):
+    # the quoted cell spans lines 2 and 3, so the bad row is the fourth
+    # record but sits on line 5
+    path = tmp_path / "data.csv"
+    path.write_text(_S + '\n"1.5\n",2,3,4,5,6,UP\n1,2,3,4,5,6,DOWN\n1,x,3,4,5,6,UP\n')
+    with pytest.raises(DataFormatError) as exc:
+        ds.load_samples(path)
+    assert str(exc.value) == f"{path}:5: could not convert string to float: 'x'"
 
 
 @pytest.mark.parametrize("block", BLOCKS)

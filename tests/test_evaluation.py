@@ -200,7 +200,8 @@ def test_smoothed_class_distribution(market_data):
 
 # --------------------------------------------------------------- cross-validation
 def test_cross_validate_naive_bayes_frozen(market_data):
-    report, folds = ev.cross_validate(market_data, nb.train, nb.predict_proba, 10, 1)
+    folds = ds.stratified_folds(market_data, 10, 1)
+    report = ev.cross_validate(market_data, nb.train, nb.predict_proba, folds)
     assert (report.n, report.correct) == (30, 19)
     assert report.rae == pytest.approx(79.39640570815253, abs=1e-9)
     assert report.rrse == pytest.approx(108.76560666771722, abs=1e-9)
@@ -208,7 +209,8 @@ def test_cross_validate_naive_bayes_frozen(market_data):
 
 
 def test_cross_validate_svm_frozen(market_data):
-    report, _ = ev.cross_validate(market_data, svm.train_smo, svm.predict_proba, 10, 1)
+    report = ev.cross_validate(market_data, svm.train_smo, svm.predict_proba,
+                               ds.stratified_folds(market_data, 10, 1))
     assert (report.n, report.correct) == (30, 20)
 
 
@@ -220,9 +222,10 @@ def test_a_reused_svm_learner_matches_fresh_ones(kernel):
     for n in (120, 300, 80):
         data = toy_dataset(rng.normal(0.3, 1.0, size=(n // 2, 4)),
                            rng.normal(-0.3, 1.0, size=(n - n // 2, 4)))
-        reused, _ = ev.cross_validate(data, train, svm.predict_proba, 10, 3)
-        fresh, _ = ev.cross_validate(data, partial(svm.train_smo, kernel=kernel),
-                                     svm.predict_proba, 10, 3)
+        folds = ds.stratified_folds(data, 10, 3)
+        reused = ev.cross_validate(data, train, svm.predict_proba, folds)
+        fresh = ev.cross_validate(data, partial(svm.train_smo, kernel=kernel),
+                                  svm.predict_proba, ds.stratified_folds(data, 10, 3))
         assert ev.render_machine(reused) == ev.render_machine(fresh)
 
 
@@ -232,10 +235,11 @@ def test_rbf_cross_validation_holds_one_kernel_matrix():
     rng = np.random.default_rng(12)
     data = toy_dataset(rng.normal(0.3, 1.0, size=(500, 6)),
                        rng.normal(-0.3, 1.0, size=(500, 6)))
+    folds = ds.stratified_folds(data, 10, 1)
     tracemalloc.start()
     try:
         ev.cross_validate(data, partial(svm.train_smo, kernel=svm.rbf_kernel(1.0)),
-                          svm.predict_proba, 10, 1)
+                          svm.predict_proba, folds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -256,15 +260,48 @@ def recall(table, X):
 
 
 def test_no_test_row_leaks_into_training(market_data):
-    report, _ = ev.cross_validate(market_data, memorize, recall, 30, 0)
+    report = ev.cross_validate(market_data, memorize, recall,
+                               ds.stratified_folds(market_data, 30, 0))
     # all fixture rows are distinct, so every held-out row must fall back to UP
     assert report.correct == 16
     np.testing.assert_array_equal(report.confusion, [[16, 0], [14, 0]])
 
 
+def test_cross_validate_pools_a_given_assignment_in_fold_order(monkeypatch):
+    # not stratified: fold 0 holds only UP rows and fold 2 only DOWN rows
+    data = toy_dataset([[0.0], [1.0], [2.0]], [[3.0], [4.0], [5.0]])
+    folds = ds.FoldAssignment(3, np.array([1, 0, 0, 1, 2, 2]))
+    pooled, evaluate = [], ev.evaluate
+
+    def spy(actual_idx, dist, baseline=None, **kwargs):
+        pooled.append((np.asarray(actual_idx).tolist(), np.asarray(dist)[:, 0].tolist()))
+        return evaluate(actual_idx, dist, baseline, **kwargs)
+
+    def train(train_set):
+        return train_set.features[:, 0].tolist()  # the training rows' ids
+
+    def predict(train_rows, X):
+        assert not set(X[:, 0].tolist()) & set(train_rows)
+        return np.column_stack([X[:, 0] / 10, 1 - X[:, 0] / 10])
+
+    monkeypatch.setattr(ev, "evaluate", spy)
+    report = ev.cross_validate(data, train, predict, folds)
+    assert pooled == [([0, 0, 0, 1, 1, 1], [0.1, 0.2, 0.0, 0.3, 0.4, 0.5])]
+    assert report.fold_digest == folds.digest()
+    assert report.n == 6 and report.svm_folds_converged is None
+
+
+def test_cross_validate_rejects_an_assignment_of_another_length(market_data):
+    folds = ds.stratified_folds(market_data, 10, 1)
+    short = ds.FoldAssignment(10, folds.assignment[:-1])
+    with pytest.raises(DataFormatError, match="29 fold indices for 30 rows"):
+        ev.cross_validate(market_data, nb.train, nb.predict_proba, short)
+
+
 # ------------------------------------------------------------------- rendering
 def test_render_text_layout(market_data):
-    report, _ = ev.cross_validate(market_data, nb.train, nb.predict_proba, 10, 1)
+    report = ev.cross_validate(market_data, nb.train, nb.predict_proba,
+                               ds.stratified_folds(market_data, 10, 1))
     text = ev.render_text(report)
     for block in ("=== Summary ===", "=== Detailed accuracy by class ===",
                   "=== Confusion matrix ==="):
@@ -278,7 +315,8 @@ def test_render_text_layout(market_data):
 
 
 def test_render_machine_keys(market_data):
-    report, folds = ev.cross_validate(market_data, nb.train, nb.predict_proba, 10, 1)
+    folds = ds.stratified_folds(market_data, 10, 1)
+    report = ev.cross_validate(market_data, nb.train, nb.predict_proba, folds)
     machine = ev.render_machine(report)
     entries = dict(
         line.partition(" = ")[::2] for line in machine.strip().splitlines()

@@ -164,3 +164,20 @@ def test_every_fold_count_up_to_n_runs(folds, tmp_path):
     assert cli.main(["cv", "--model", "nb", "--data", str(path), "--folds", str(folds),
                      "--format", "machine", "--output", str(output)]) == 0
     assert re.search(r"^fold_digest = [0-9a-f]{8}$", output.read_text(), re.MULTILINE)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("cv", "--model", "svm", "--cost", "-1", "--seed", "-1"), "--cost must be > 0, got -1.0"),
+    (("compare", "--cost", "-1", "--seed", "-1"), "--seed must be >= 0, got -1"),
+    (("cv", "--seed", "-1", "--folds", "1"), "--seed must be >= 0, got -1"),
+    (("compare", "--seed", "-1", "--folds", "1"), "--seed must be >= 0, got -1"),
+    (("cv", "--model", "svm", "--kernel", "rbf", "--delta-sq", "0", "--folds", "1"),
+     "--delta-sq must be > 0, got 0.0"),
+    (("compare", "--kernel", "rbf", "--delta-sq", "0", "--folds", "1"),
+     "--folds must satisfy 2 <= k <= 30, got 1"),
+])
+def test_flag_checks_keep_their_order(argv, message, capsys):
+    # cv checks its model's flags before --seed and --folds; compare checks
+    # --seed and --folds before either model's
+    assert cli.main(list(argv)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -252,6 +252,7 @@ def test_deterministic_training(market_data, tmp_path):
 def test_pass_budget_returns_flagged_model(market_data):
     model = _train(market_data, max_passes=1)
     assert not model.converged
+    assert model.stop == "pass budget"
     assert abs(model.coefficients @ model.labels) <= 1e-8
     assert model.kkt_violation > 1e-3  # honest audit on the flagged model
 
@@ -287,6 +288,7 @@ def test_model_round_trip(kernel, tmp_path):
     assert again.C == model.C
     assert again.converged == model.converged
     assert again.kkt_violation == model.kkt_violation
+    assert (model.stop, again.stop) == ("gap reached", "")  # model files keep no stop
     np.testing.assert_array_equal(again.coefficients, model.coefficients)
     np.testing.assert_array_equal(again.support_vectors, model.support_vectors)
     X = rng.normal(size=(10, 3))
@@ -340,20 +342,20 @@ def _reference_train_smo(dataset, kernel, config):
     g = np.zeros(n)  # g_i = sum_j alpha_j y_j K_ij
     snap = 1e-10 * max(1.0, C)
     budget = config.max_passes * n
-    converged = False
+    stop = "pass budget"
     for _ in range(budget):
         F = y - g
         up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
         low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
         if not up.any() or not low.any():
-            converged = True
+            stop = "gap reached"
             break
         Fu = np.where(up, F, -np.inf)
         Fl = np.where(low, F, np.inf)
         i = int(np.argmax(Fu))
         j = int(np.argmin(Fl))
         if Fu[i] - Fl[j] <= tol:
-            converged = True
+            stop = "gap reached"
             break
         s = y[i] * y[j]
         ai_old, aj_old = alpha[i], alpha[j]
@@ -362,7 +364,8 @@ def _reference_train_smo(dataset, kernel, config):
         else:
             lo, hi = max(0.0, ai_old + aj_old - C), min(C, ai_old + aj_old)
         if lo >= hi:
-            break  # most violating pair cannot move: genuinely stuck
+            stop = "stuck pair"  # most violating pair cannot move
+            break
         eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
         if eta > 0:
             aj_new = float(np.clip(aj_old - y[j] * (F[i] - F[j]) / eta, lo, hi))
@@ -371,6 +374,7 @@ def _reference_train_smo(dataset, kernel, config):
                 alpha, y, K, i, j, s, hi
             ) else hi
         if aj_new == aj_old:
+            stop = "no move"
             break
         ai_new = ai_old + s * (aj_old - aj_new)
         if ai_new < snap:
@@ -388,7 +392,8 @@ def _reference_train_smo(dataset, kernel, config):
     g = K @ (alpha * y)
     b = svm._fit_bias(alpha, y, g, C)
     worst = _reference_worst_violation(alpha, y, g + b, C)
-    return svm._package(X, alpha, y, b, kernel, C, converged and worst <= tol, worst)
+    return svm._package(X, alpha, y, b, kernel, C, stop == "gap reached" and worst <= tol,
+                        worst, stop)
 
 
 def _assert_same_model(model, ref):
@@ -399,6 +404,9 @@ def _assert_same_model(model, ref):
     assert model.bias.hex() == ref.bias.hex()
     assert model.converged == ref.converged
     assert model.kkt_violation.hex() == ref.kkt_violation.hex()
+    # the reference has no snapped-back exit: it repeats that no-op step
+    # until the budget runs out
+    assert model.stop == ref.stop or (model.stop, ref.stop) == ("snapped back", "pass budget")
 
 
 def _overlapping_problem(seed, n=80, d=4, scale=1.0):
@@ -425,6 +433,7 @@ def test_solver_matches_reference_on_pass_budget(kernel):
     config = svm.TrainerConfig(C=4.0, max_passes=1)
     model = svm.train_smo(data, kernel, config)
     assert not model.converged
+    assert model.stop == "pass budget"
     _assert_same_model(model, _reference_train_smo(data, kernel, config))
 
 
@@ -435,14 +444,32 @@ def test_solver_matches_reference_at_large_feature_scale(kernel, C):
     # converging.  With one row shared by both classes, eta = 0 for the
     # polynomial kernel at C = 0.1, and the chosen pair cannot move, which
     # ends the loop through its early exit.
+    config = svm.TrainerConfig(C=C)
+    for data in (_overlapping_problem(7, n=30, scale=1e6), _shared_row_problem()):
+        _assert_same_model(svm.train_smo(data, kernel, config),
+                           _reference_train_smo(data, kernel, config))
+
+
+def _shared_row_problem():
     rng = np.random.default_rng(3)
     up, down = rng.normal(size=(4, 2)), rng.normal(size=(3, 2))
     down[0] = up[0]
-    config = svm.TrainerConfig(C=C)
-    for data in (_overlapping_problem(7, n=30, scale=1e6),
-                 toy_dataset(up * 1e6, down * 1e6)):
-        _assert_same_model(svm.train_smo(data, kernel, config),
-                           _reference_train_smo(data, kernel, config))
+    return toy_dataset(up * 1e6, down * 1e6)
+
+
+@pytest.mark.parametrize("data, kernel, C, stop", [
+    (lambda: _overlapping_problem(5), svm.linear_kernel(), 1.0, "gap reached"),
+    (lambda: _overlapping_problem(5), svm.polynomial_kernel(2), 4.0, "pass budget"),
+    (_shared_row_problem, svm.polynomial_kernel(2), 0.1, "no move"),
+    (lambda: _overlapping_problem(7, n=30, scale=1e6), svm.linear_kernel(), 1.0,
+     "snapped back"),
+], ids=["gap reached", "pass budget", "no move", "snapped back"])
+def test_model_names_the_exit_that_ended_the_loop(data, kernel, C, stop):
+    # "stuck pair" is not reached here: the maximal violating pair always
+    # has room to move in exact arithmetic
+    model = svm.train_smo(data(), kernel, svm.TrainerConfig(C=C))
+    assert model.stop == stop
+    assert model.converged == (stop == "gap reached")
 
 
 @pytest.mark.parametrize("kernel", KERNELS + [svm.polynomial_kernel(3)],
@@ -533,4 +560,5 @@ def test_snapped_back_step_ends_the_loop(kernel, monkeypatch):
     monkeypatch.setattr(svm, "np", np)
     assert counting.subtracts == 2
     assert not model.converged
+    assert model.stop == "snapped back"
     _assert_same_model(model, _reference_train_smo(data, kernel, config))
