@@ -8,10 +8,10 @@ predict   apply a saved model to a sample file, emitting label + distribution
 cv        stratified k-fold cross-validation with a full metric report
 compare   run both classifiers on identical folds, side by side
 
-Exit codes: 0 success, 2 usage or precondition violation, 3 I/O failure,
-4 training failure.  The bundled 30-sample dataset is used when --data is
-omitted; the environment variable SETCAST_DATA_DIR points the default lookup
-at a different directory.
+Exit codes (``EXIT_CODES``): 0 success, 2 usage or precondition violation,
+3 I/O failure, 4 training failure.  The bundled 30-sample dataset is used
+when --data is omitted; the environment variable SETCAST_DATA_DIR points the
+default lookup at a different directory.
 
 Each command imports only the model and evaluation modules it uses, so that
 ``ingest`` loads neither model and ``train``, ``predict`` and ``cv`` load one.
@@ -33,6 +33,9 @@ from .errors import DataFormatError, TrainingError
 
 DATA_DIR_ENV = "SETCAST_DATA_DIR"
 DEFAULT_DATA_FILE = "set_samples.csv"
+
+#: The exit code of each error kind that ``main`` reports; success is 0.
+EXIT_CODES = {DataFormatError: 2, OSError: 3, TrainingError: 4}
 
 
 def default_data_path() -> str:
@@ -278,15 +281,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return int(args.func(args) or 0)
-    except DataFormatError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TrainingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -46,7 +46,8 @@ class Dataset:
 
     ``features`` has shape (n, d); ``y`` is a length-n int8 array of class
     indices into CLASS_LABELS (0 = UP, 1 = DOWN).  Any integer array-like of
-    0s and 1s is accepted and stored as int8.
+    0s and 1s is accepted and stored as int8.  ``attribute_names`` holds one
+    name per feature column.
     """
 
     features: np.ndarray
@@ -58,6 +59,9 @@ class Dataset:
         y = np.asarray(self.y)
         if self.features.ndim != 2 or y.shape != self.features.shape[:1]:
             raise DataFormatError("features must be (n, d) with one class index per row")
+        if len(self.attribute_names) != self.features.shape[1]:
+            raise DataFormatError(f"{len(self.attribute_names)} attribute names for "
+                                  f"{self.features.shape[1]} feature columns")
         if not np.isfinite(self.features).all():
             raise DataFormatError("all feature values must be finite")
         if y.dtype.kind not in "iu" or ((y < 0) | (y >= len(CLASS_LABELS))).any():

@@ -116,7 +116,8 @@ class SvmModel:
     training set right after optimization; ``converged`` is true when it fell
     within the configured tolerance before the pass budget ran out.  ``stop``
     names the exit that ended the SMO loop: "gap reached", "pass budget",
-    "stuck pair", "no move" or "snapped back"; a loaded model's is empty.
+    "stuck pair", "no move" or "snapped back", and ``iterations`` counts the
+    two-alpha updates it applied; a loaded model's are empty and 0.
     """
 
     support_vectors: np.ndarray  # (m, d)
@@ -128,6 +129,7 @@ class SvmModel:
     converged: bool
     kkt_violation: float = float("nan")
     stop: str = ""
+    iterations: int = 0
 
 
 def kernel_matrix(spec: KernelSpec, X, Z) -> np.ndarray:
@@ -193,8 +195,7 @@ def train_smo(dataset: Dataset, kernel: KernelSpec = KernelSpec(LINEAR),
     a, ys, diag = [0.0] * n, y.tolist(), K.diagonal().tolist()
     snap = 1e-10 * max(1.0, C)
     budget = config.max_passes * n
-    stop = "pass budget"
-    for _ in range(budget):
+    for iterations in range(budget):  # the updates applied so far
         np.subtract(y_up, g, out=Fu)
         np.subtract(y_low, g, out=Fl)
         i = int(Fu.argmax())
@@ -223,9 +224,7 @@ def train_smo(dataset: Dataset, kernel: KernelSpec = KernelSpec(LINEAR),
             aj_new = lo if _dual_delta(alpha, y, K, i, j, s, lo) >= _dual_delta(
                 alpha, y, K, i, j, s, hi
             ) else hi
-        if aj_new == aj_old:
-            stop = "no move"
-            break
+        aj_clipped = aj_new
         ai_new = ai_old + s * (aj_old - aj_new)
         if ai_new < snap:
             ai_new = 0.0
@@ -236,9 +235,9 @@ def train_smo(dataset: Dataset, kernel: KernelSpec = KernelSpec(LINEAR),
         elif aj_new > C - snap:
             aj_new = C
         if ai_new == ai_old and aj_new == aj_old:
-            # snapped back: a no-op step leaves a, g and both index sets as
-            # they were, so every later iteration would repeat it
-            stop = "snapped back"
+            # a no-op step, which every later one would repeat; a zero clipped
+            # step ends here too, since each stored alpha is a snap fixed point
+            stop = "no move" if aj_clipped == aj_old else "snapped back"
             break
         np.multiply(K[i], (ai_new - ai_old) * yi, out=step_i)
         np.multiply(K[j], (aj_new - aj_old) * yj, out=step_j)
@@ -248,6 +247,8 @@ def train_smo(dataset: Dataset, kernel: KernelSpec = KernelSpec(LINEAR),
         for k in (i, j):
             y_up[k] = ys[k] if (a[k] < C if ys[k] > 0 else a[k] > 0) else -np.inf
             y_low[k] = ys[k] if (a[k] > 0 if ys[k] > 0 else a[k] < C) else np.inf
+    else:
+        iterations, stop = budget, "pass budget"
 
     alpha = np.array(a)
     _repair_equality(alpha, y, C)
@@ -257,7 +258,7 @@ def train_smo(dataset: Dataset, kernel: KernelSpec = KernelSpec(LINEAR),
     _require_finite(f, dataset, kernel)
     worst = _worst_violation(alpha, y, f, C)
     return _package(X, alpha, y, b, kernel, C, stop == "gap reached" and worst <= tol, worst,
-                    stop)
+                    stop, iterations)
 
 
 def _require_finite(values, dataset, kernel):
@@ -330,10 +331,10 @@ def _worst_violation(alpha, y, f, C):
     return float(violation.max(initial=0.0))  # NaN stays NaN
 
 
-def _package(X, alpha, y, b, kernel, C, converged, worst, stop):
+def _package(X, alpha, y, b, kernel, C, converged, worst, stop, iterations):
     keep = alpha > 0
     return SvmModel(X[keep], alpha[keep], y[keep], float(b), kernel, float(C),
-                    bool(converged), float(worst), stop)
+                    bool(converged), float(worst), stop, iterations)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises instead

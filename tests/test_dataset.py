@@ -145,6 +145,21 @@ def test_dataset_rejects_bad_class_indices(y):
         ds.Dataset(np.zeros((3, 1)), y, ("x",))
 
 
+@pytest.mark.parametrize("shape, names, message", [
+    # the six default names on two columns would send naive Bayes past the last
+    ((6, 2), ds.ATTRIBUTE_NAMES, "6 attribute names for 2 feature columns"),
+    # two names on six columns would leave four columns of a naive Bayes fit unset
+    ((6, 6), ("a", "b"), "2 attribute names for 6 feature columns"),
+    # seven names on six columns would make save_samples write a header that
+    # load_samples rejects
+    ((6, 6), ds.ATTRIBUTE_NAMES + ("EXTRA",), "7 attribute names for 6 feature columns"),
+    ((0, 6), ("x",), "1 attribute names for 6 feature columns"),
+])
+def test_dataset_needs_one_attribute_name_per_column(shape, names, message):
+    with pytest.raises(DataFormatError, match=f"^{message}$"):
+        ds.Dataset(np.zeros(shape), [0, 0, 0, 1, 1, 1][:shape[0]], names)
+
+
 def test_dataset_holds_class_indices_as_int8():
     data = ds.Dataset(np.zeros((3, 1)), np.array([1, 0, 1], dtype=np.int64), ("x",))
     assert data.y.dtype == np.int8 and data.y.tolist() == [1, 0, 1]

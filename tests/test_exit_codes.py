@@ -7,6 +7,7 @@ import contextlib
 import io
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from setcast import cli
 from setcast import dataset as ds
+from setcast.errors import DataFormatError, TrainingError
 
 from conftest import FIVE_DAY_ROWS, raw_csv_text
 
@@ -181,3 +183,16 @@ def test_flag_checks_keep_their_order(argv, message, capsys):
     # --seed and --folds before either model's
     assert cli.main(list(argv)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_exit_code_table_is_the_documented_contract():
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    assert ("`0` success, `2` usage or precondition violation, `3` I/O failure, "
+            "`4` training failure") in readme
+    assert cli.EXIT_CODES == {DataFormatError: 2, OSError: 3, TrainingError: 4}
+
+
+def test_os_error_subclass_exits_3(tmp_path, capsys):
+    # reading a directory raises IsADirectoryError, a subclass of OSError
+    assert cli.main(["predict", "--model-file", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"

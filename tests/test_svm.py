@@ -288,7 +288,9 @@ def test_model_round_trip(kernel, tmp_path):
     assert again.C == model.C
     assert again.converged == model.converged
     assert again.kkt_violation == model.kkt_violation
-    assert (model.stop, again.stop) == ("gap reached", "")  # model files keep no stop
+    # model files keep no stop and no iteration count
+    assert (model.stop, again.stop, again.iterations) == ("gap reached", "", 0)
+    assert model.iterations > 0
     np.testing.assert_array_equal(again.coefficients, model.coefficients)
     np.testing.assert_array_equal(again.support_vectors, model.support_vectors)
     X = rng.normal(size=(10, 3))
@@ -343,6 +345,7 @@ def _reference_train_smo(dataset, kernel, config):
     snap = 1e-10 * max(1.0, C)
     budget = config.max_passes * n
     stop = "pass budget"
+    updates = 0
     for _ in range(budget):
         F = y - g
         up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
@@ -387,13 +390,14 @@ def _reference_train_smo(dataset, kernel, config):
             aj_new = C
         g += (ai_new - ai_old) * y[i] * K[:, i] + (aj_new - aj_old) * y[j] * K[:, j]
         alpha[i], alpha[j] = ai_new, aj_new
+        updates += 1
 
     svm._repair_equality(alpha, y, C)
     g = K @ (alpha * y)
     b = svm._fit_bias(alpha, y, g, C)
     worst = _reference_worst_violation(alpha, y, g + b, C)
     return svm._package(X, alpha, y, b, kernel, C, stop == "gap reached" and worst <= tol,
-                        worst, stop)
+                        worst, stop, updates)
 
 
 def _assert_same_model(model, ref):
@@ -407,6 +411,8 @@ def _assert_same_model(model, ref):
     # the reference has no snapped-back exit: it repeats that no-op step
     # until the budget runs out
     assert model.stop == ref.stop or (model.stop, ref.stop) == ("snapped back", "pass budget")
+    if model.stop == ref.stop:
+        assert model.iterations == ref.iterations
 
 
 def _overlapping_problem(seed, n=80, d=4, scale=1.0):
@@ -434,6 +440,7 @@ def test_solver_matches_reference_on_pass_budget(kernel):
     model = svm.train_smo(data, kernel, config)
     assert not model.converged
     assert model.stop == "pass budget"
+    assert model.iterations == config.max_passes * len(data)  # every step an update
     _assert_same_model(model, _reference_train_smo(data, kernel, config))
 
 
@@ -470,6 +477,15 @@ def test_model_names_the_exit_that_ended_the_loop(data, kernel, C, stop):
     model = svm.train_smo(data(), kernel, svm.TrainerConfig(C=C))
     assert model.stop == stop
     assert model.converged == (stop == "gap reached")
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+def test_stop_at_the_first_gap_test_applies_no_update(kernel):
+    # all alphas start at 0, where the gap is 2: a tolerance of 2 stops at
+    # the first gap test
+    model = svm.train_smo(_overlapping_problem(6), kernel, svm.TrainerConfig(kkt_tol=2.0))
+    assert (model.stop, model.iterations) == ("gap reached", 0)
+    assert model.converged and len(model.coefficients) == 0
 
 
 @pytest.mark.parametrize("kernel", KERNELS + [svm.polynomial_kernel(3)],
