@@ -5,10 +5,11 @@ The decision function is f(x) = b + sum_i alpha_i y_i K(x_i, x) with
 0 <= alpha_i <= C and sum_i alpha_i y_i = 0.  The trainer repeatedly picks the
 maximal violating pair -- the sample pushing the KKT gap up hardest against
 the sample pushing it down hardest -- and solves the two-variable subproblem
-analytically.  That working-set rule needs no randomness, makes the solver
-fully deterministic, and stops via a bias-free gap criterion, so a final bias
-computed from the free support vectors always satisfies the KKT conditions
-within the configured tolerance on convergence.
+analytically; a pair whose curvature eta = K_ii + K_jj - 2 K_ij is <= 0
+steps as if eta were TAU, as LIBSVM does.  That working-set rule needs no
+randomness, makes the solver fully deterministic, and stops via a bias-free
+gap criterion, so a final bias computed from the free support vectors always
+satisfies the KKT conditions within the configured tolerance on convergence.
 
 Each iteration costs O(n) in-place vector work.  The solver keeps
 g_i = sum_j alpha_j y_j K_ij and two vectors that mark the index sets: y_up
@@ -41,6 +42,8 @@ from .errors import DataFormatError, TrainingError
 LINEAR = "linear"
 POLY = "poly"
 RBF = "rbf"
+
+TAU = 1e-12  #: the curvature a step uses for a pair with eta <= 0 (LIBSVM's tau)
 
 #: Size of a kernel block: the rows decision_values evaluates at once, and
 #: the rows of |x|^2 + |z|^2 an RBF kernel_matrix holds at once.
@@ -217,13 +220,7 @@ def train_smo(dataset: Dataset, kernel: KernelSpec = KernelSpec(LINEAR),
             stop = "stuck pair"  # most violating pair cannot move
             break
         eta = diag[i] + diag[j] - 2.0 * K.item(i, j)
-        if eta > 0:
-            aj_new = float(min(max(aj_old - yj * gap / eta, lo), hi))
-        else:
-            alpha = np.array(a)
-            aj_new = lo if _dual_delta(alpha, y, K, i, j, s, lo) >= _dual_delta(
-                alpha, y, K, i, j, s, hi
-            ) else hi
+        aj_new = float(min(max(aj_old - yj * gap / (eta if eta > 0 else TAU), lo), hi))
         aj_clipped = aj_new
         ai_new = ai_old + s * (aj_old - aj_new)
         if ai_new < snap:
@@ -281,15 +278,6 @@ def _index_sets(alpha, y, C):
     return up, low
 
 
-def _dual_delta(alpha, y, K, i, j, s, aj_value):
-    """Dual objective with (alpha_i, alpha_j) moved along the constraint line."""
-    a = alpha.copy()
-    a[j] = aj_value
-    a[i] = alpha[i] + s * (alpha[j] - aj_value)
-    ay = a * y
-    return a.sum() - 0.5 * ay @ K @ ay
-
-
 def _repair_equality(alpha, y, C):
     """Absorb accumulated floating-point drift of sum(alpha * y) into the
     free coefficient with the most room."""
@@ -307,19 +295,14 @@ def _repair_equality(alpha, y, C):
 
 def _fit_bias(alpha, y, g, C):
     """Bias from the mean margin residual of free support vectors, falling
-    back to the midpoint of the feasible interval when none are free."""
+    back to the midpoint of the feasible interval when none are free; an
+    empty up (low) set would need sum(alpha * y) = +C * n_UP (-C * n_DOWN)."""
     F = y - g
     free = (alpha > 0) & (alpha < C)
     if free.any():
         return float(F[free].mean())
     up, low = _index_sets(alpha, y, C)
-    lo = F[up].max() if up.any() else -math.inf
-    hi = F[low].min() if low.any() else math.inf
-    if math.isfinite(lo) and math.isfinite(hi):
-        return float((lo + hi) / 2.0)
-    if math.isfinite(lo):
-        return float(lo)
-    return float(hi) if math.isfinite(hi) else 0.0
+    return float((F[up].max() + F[low].min()) / 2.0)
 
 
 def _worst_violation(alpha, y, f, C):
@@ -393,7 +376,8 @@ def save_model(model: SvmModel, path) -> None:
 
 def load_model(source) -> SvmModel:
     """Inverse of :func:`save_model`, from a path or a read KeyValueFile.  A
-    missing, malformed or extra entry raises DataFormatError."""
+    missing, malformed or extra entry, a C that is not positive or an alpha
+    outside (0, C] raises DataFormatError."""
     f = KeyValueFile.of(source).require("svm", "an SVM")
     kind = f.choice("kernel", (LINEAR, POLY, RBF))
     kernel = KernelSpec(
@@ -401,11 +385,15 @@ def load_model(source) -> SvmModel:
         degree=f.positive("degree", int) if kind == POLY else None,
         delta_sq=f.positive("delta_sq") if kind == RBF else None,
     )
-    C, bias = f.number("C"), f.number("bias")
+    C, bias = f.positive("C"), f.number("bias")
     converged = f.choice("converged", ("true", "false")) == "true"
     kkt_violation = f.number("kkt_violation")
     m = f.integer("n_support")
-    coefficients = np.array([f.number(f"sv.{i}.alpha") for i in range(m)])
+    coefficients = [f.positive(f"sv.{i}.alpha") for i in range(m)]
+    for i, alpha in enumerate(coefficients):
+        if alpha > C:
+            raise DataFormatError(f"{f.path}: sv.{i}.alpha must be at most C = {C!r}, "
+                                  f"got {alpha!r}")
     labels = np.array([float(f.choice(f"sv.{i}.label", ("1", "-1"))) for i in range(m)])
     vectors = [
         [f.convert(f"sv.{i}.x", t, float) for t in f.text(f"sv.{i}.x").split(",")]
@@ -416,7 +404,7 @@ def load_model(source) -> SvmModel:
     f.finish()
     return SvmModel(
         np.array(vectors) if m else np.zeros((0, 0)),
-        coefficients,
+        np.array(coefficients),
         labels,
         bias,
         kernel,

@@ -540,6 +540,13 @@ def test_commands_load_only_the_model_module_they_use(tmp_path, command, kind, l
     assert (done.returncode, done.stderr, done.stdout) == (0, "", f"{want}\n")
 
 
+def test_unknown_package_attribute_raises_attribute_error():
+    import setcast
+
+    with pytest.raises(AttributeError, match="^module 'setcast' has no attribute 'forest'$"):
+        setcast.forest
+
+
 # ------------------------------------------------------------------ data lookup
 def test_data_dir_environment_override(tmp_path, monkeypatch, capsys):
     shutil.copy(cli.default_data_path(), tmp_path / cli.DEFAULT_DATA_FILE)

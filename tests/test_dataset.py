@@ -160,6 +160,14 @@ def test_dataset_needs_one_attribute_name_per_column(shape, names, message):
         ds.Dataset(np.zeros(shape), [0, 0, 0, 1, 1, 1][:shape[0]], names)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_dataset_rejects_a_non_finite_feature(value):
+    features = np.zeros((3, 2))
+    features[1, 0] = value
+    with pytest.raises(DataFormatError, match="^all feature values must be finite$"):
+        ds.Dataset(features, [0, 1, 0], ("a", "b"))
+
+
 def test_dataset_holds_class_indices_as_int8():
     data = ds.Dataset(np.zeros((3, 1)), np.array([1, 0, 1], dtype=np.int64), ("x",))
     assert data.y.dtype == np.int8 and data.y.tolist() == [1, 0, 1]

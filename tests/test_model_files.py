@@ -158,6 +158,50 @@ def test_nb_sigma_not_positive_exits_2_naming_file_and_key(saved_models, tmp_pat
     assert message in err and "Traceback" not in err
 
 
+def _svm_text(saved_models):
+    return next(text for module, text, _ in saved_models if module is svm)
+
+
+def _edit_line(text, key, value):
+    return re.sub(f"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("C", "-3", "C must be positive, got -3.0"),
+    ("C", "0", "C must be positive, got 0.0"),
+    ("sv.0.alpha", "-5", "sv.0.alpha must be positive, got -5.0"),
+    ("sv.0.alpha", "0", "sv.0.alpha must be positive, got 0.0"),
+    ("sv.1.alpha", "1.5", "sv.1.alpha must be at most C = 1.0, got 1.5"),
+], ids=["C negative", "C zero", "alpha negative", "alpha zero", "alpha above C"])
+def test_svm_c_or_alpha_out_of_range_exits_2_naming_file_and_key(saved_models, tmp_path, capsys,
+                                                                 key, value, message):
+    # only support vectors, 0 < alpha <= C, are stored; the saved models
+    # hold alphas equal to C, so the upper bound is inclusive
+    text = _svm_text(saved_models)
+    assert "\nC = 1\n" in text
+    path = tmp_path / "range.model"
+    path.write_text(_edit_line(text, key, value))
+    message = f"{path}: {message}"
+    with pytest.raises(DataFormatError, match=re.escape(message)):
+        svm.load_model(path)
+    assert cli.main(["predict", "--model-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_svm_support_vectors_of_different_lengths_exit_2(saved_models, tmp_path, capsys):
+    text = _svm_text(saved_models)
+    x = re.search("^sv.0.x = (.*)$", text, flags=re.M).group(1)
+    path = tmp_path / "ragged.model"
+    path.write_text(_edit_line(text, "sv.0.x", x + ",0"))
+    message = f"{path}: support vectors differ in length"
+    with pytest.raises(DataFormatError, match=re.escape(message)):
+        svm.load_model(path)
+    assert cli.main(["predict", "--model-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 UNVERSIONED_NB = """model = nb
 classes = UP,DOWN
 attributes = NK

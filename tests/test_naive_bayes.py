@@ -31,6 +31,20 @@ def test_single_class_rejected():
         nb.train(data)
 
 
+def test_empty_training_set_rejected():
+    with pytest.raises(TrainingError, match="^empty training set$"):
+        nb.train(ds.Dataset(np.zeros((0, 1)), np.zeros(0, dtype=int), ("x",)))
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"priors": "laplace"}, "unknown priors mode 'laplace'"),
+    ({"estimator": "kernel"}, "unknown estimator mode 'kernel'"),
+])
+def test_unknown_training_modes_rejected(market_data, options, message):
+    with pytest.raises(DataFormatError, match=f"^{message}$"):
+        nb.train(market_data, **options)
+
+
 def test_uniform_priors_option(market_data):
     model = nb.train(market_data, priors="uniform")
     np.testing.assert_allclose(model.priors, [0.5, 0.5])

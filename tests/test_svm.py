@@ -142,13 +142,17 @@ def test_training_preconditions():
 
 def test_model_invariants_on_random_problems():
     rng = np.random.default_rng(17)
+    kernels = [svm.linear_kernel(), svm.polynomial_kernel(2), svm.rbf_kernel(2.0)]
+    fits = []
     for _ in range(25):
         n_up, n_down = rng.integers(1, 6, size=2)
         d = int(rng.integers(1, 4))
         data = toy_dataset(rng.normal(size=(n_up, d)), rng.normal(size=(n_down, d)))
         C = float(rng.choice([0.5, 1.0, 4.0]))
-        kernel = [svm.linear_kernel(), svm.polynomial_kernel(2),
-                  svm.rbf_kernel(2.0)][int(rng.integers(3))]
+        fits.append((data, kernels[int(rng.integers(3))], C))
+    fits += [(_shared_row_problem(*args), kernel, C) for args in SHARED_ROW_PROBLEMS
+             for kernel in kernels for C in (0.5, 1.0, 4.0)]
+    for data, kernel, C in fits:
         model = _train(data, kernel, C=C)
         assert abs(model.coefficients @ model.labels) <= 1e-8
         assert (model.coefficients > 0).all()
@@ -307,7 +311,10 @@ def test_load_rejects_other_files(tmp_path):
 # ------------------------------------------------ reference (per-iteration rebuild)
 # The solver as it was before its bookkeeping went in place: every iteration
 # rebuilds F, the index-set masks and the penalized copies, and reads kernel
-# columns.  The current solver must reproduce it bit for bit.
+# columns.  For a pair with eta <= 0 it compares the O(n^2) dual objective at
+# the two ends of the pair's segment, where the current solver takes the TAU
+# step.  The current solver must reproduce it bit for bit wherever rounding
+# does not decide that comparison.
 def _reference_kernel_matrix(spec, X, Z):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
@@ -331,6 +338,15 @@ def _reference_worst_violation(alpha, y, f, C):
         else:
             worst = max(worst, abs(yf[i] - 1.0))
     return worst
+
+
+def _dual_delta(alpha, y, K, i, j, s, aj_value):
+    """Dual objective with (alpha_i, alpha_j) moved along the constraint line."""
+    a = alpha.copy()
+    a[j] = aj_value
+    a[i] = alpha[i] + s * (alpha[j] - aj_value)
+    ay = a * y
+    return a.sum() - 0.5 * ay @ K @ ay
 
 
 def _reference_train_smo(dataset, kernel, config):
@@ -373,7 +389,7 @@ def _reference_train_smo(dataset, kernel, config):
         if eta > 0:
             aj_new = float(np.clip(aj_old - y[j] * (F[i] - F[j]) / eta, lo, hi))
         else:
-            aj_new = lo if svm._dual_delta(alpha, y, K, i, j, s, lo) >= svm._dual_delta(
+            aj_new = lo if _dual_delta(alpha, y, K, i, j, s, lo) >= _dual_delta(
                 alpha, y, K, i, j, s, hi
             ) else hi
         if aj_new == aj_old:
@@ -427,7 +443,8 @@ KERNELS = [svm.linear_kernel(), svm.polynomial_kernel(2), svm.rbf_kernel(1.0)]
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
 @pytest.mark.parametrize("C", [0.1, 1.0, 4.0])
 def test_solver_matches_reference_bitwise(kernel, C, market_data):
-    for data in (_overlapping_problem(5), market_data):
+    shared = [_shared_row_problem(*args) for args in SHARED_ROW_PROBLEMS]
+    for data in [_overlapping_problem(5), market_data] + shared:
         config = svm.TrainerConfig(C=C)
         _assert_same_model(svm.train_smo(data, kernel, config),
                            _reference_train_smo(data, kernel, config))
@@ -448,26 +465,50 @@ def test_solver_matches_reference_on_pass_budget(kernel):
 @pytest.mark.parametrize("C", [0.1, 1.0, 4.0])
 def test_solver_matches_reference_at_large_feature_scale(kernel, C):
     # At feature scale 1e6 the linear and polynomial fits stall without
-    # converging.  With one row shared by both classes, eta = 0 for the
-    # polynomial kernel at C = 0.1, and the chosen pair cannot move, which
-    # ends the loop through its early exit.
+    # converging.  In the shared-row problem the first pair has eta = 0.
+    # For the polynomial kernel at C = 0.1, K is about 1e24, and the
+    # reference's O(n^2) comparison of the dual objective at the two segment
+    # ends rounds both to 0: it keeps both alphas at 0 and stops "no move".
+    # The TAU step moves both to C, which gains exactly 2C, since that
+    # pair's quadratic term is exactly 0; the fit then snaps back.
     config = svm.TrainerConfig(C=C)
-    for data in (_overlapping_problem(7, n=30, scale=1e6), _shared_row_problem()):
-        _assert_same_model(svm.train_smo(data, kernel, config),
-                           _reference_train_smo(data, kernel, config))
+    shared = _shared_row_problem()
+    for data in (_overlapping_problem(7, n=30, scale=1e6), shared):
+        model = svm.train_smo(data, kernel, config)
+        if data is shared and (kernel.kind, C) == (svm.POLY, 0.1):
+            assert model.coefficients.tolist() == [0.1, 0.1]
+            assert model.labels.tolist() == [1.0, -1.0]
+            assert (model.stop, model.iterations) == ("snapped back", 1)
+        else:
+            _assert_same_model(model, _reference_train_smo(data, kernel, config))
 
 
-def _shared_row_problem():
-    rng = np.random.default_rng(3)
-    up, down = rng.normal(size=(4, 2)), rng.normal(size=(3, 2))
+def _shared_row_problem(seed=3, n=7, scale=1e6):
+    # The first UP and the first DOWN row are equal, so the solver's first
+    # pair, those two rows, has eta = 0 under every kernel.
+    rng = np.random.default_rng(seed)
+    up, down = rng.normal(size=((n + 1) // 2, 2)), rng.normal(size=(n // 2, 2))
     down[0] = up[0]
-    return toy_dataset(up * 1e6, down * 1e6)
+    return toy_dataset(up * scale, down * scale)
+
+
+# Flat-pair problems at scales where the TAU step and the reference's
+# comparison of the two segment ends agree bit for bit.
+SHARED_ROW_PROBLEMS = [(11, 20, 1.0), (12, 20, 10.0), (13, 20, 100.0), (14, 9, 3.0)]
+
+
+def _mixed_scale_problem(seed):
+    # Rows scaled by 10^0 to 10^8: a step can fall below one ulp of a
+    # nonzero alpha.
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(8, 2)) * 10.0 ** rng.integers(0, 9, size=(8, 1))
+    return toy_dataset(X[:4], X[4:])
 
 
 @pytest.mark.parametrize("data, kernel, C, stop", [
     (lambda: _overlapping_problem(5), svm.linear_kernel(), 1.0, "gap reached"),
     (lambda: _overlapping_problem(5), svm.polynomial_kernel(2), 4.0, "pass budget"),
-    (_shared_row_problem, svm.polynomial_kernel(2), 0.1, "no move"),
+    (lambda: _mixed_scale_problem(2662), svm.linear_kernel(), 1.0, "no move"),
     (lambda: _overlapping_problem(7, n=30, scale=1e6), svm.linear_kernel(), 1.0,
      "snapped back"),
 ], ids=["gap reached", "pass budget", "no move", "snapped back"])
