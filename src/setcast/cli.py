@@ -150,11 +150,12 @@ def _module(kind):
 
 
 def _model(args, kind):
-    """The module of model ``kind``, its trainer configured by the flags, and
-    the model's name in reports."""
+    """The module of model ``kind``, its trainer and its fold trainer, both
+    configured by the flags, and the model's name in reports."""
     module = _module(kind)
     if kind == "nb":
-        return module, partial(module.train, priors=args.priors), "nb"
+        return (module, partial(module.train, priors=args.priors),
+                partial(module.train_folds, priors=args.priors), "nb")
     if args.kernel == module.POLY:
         kernel = module.polynomial_kernel(_positive(args, "degree"))
     elif args.kernel == module.RBF:
@@ -164,6 +165,7 @@ def _model(args, kind):
     config = module.TrainerConfig(C=_positive(args, "cost"), kkt_tol=_positive(args, "kkt_tol"),
                                   max_passes=_positive(args, "max_passes"))
     return (module, partial(module.train_smo, kernel=kernel, config=config),
+            partial(module.train_folds, kernel=kernel, config=config),
             f"svm ({kernel.describe()}, C={config.C})")
 
 
@@ -187,7 +189,7 @@ def cmd_train(args) -> int:
     data = ds.load_samples(_data_path(args))
     if not args.output:
         raise DataFormatError("train requires --output for the model file")
-    module, train, _ = _model(args, args.model)
+    module, train, _, _ = _model(args, args.model)
     model = train(data)
     module.save_model(model, args.output)
     if not getattr(model, "converged", True):
@@ -217,8 +219,9 @@ def cmd_cv(args) -> int:
     from . import evaluation
 
     data = ds.load_samples(_data_path(args))
-    module, train, name = _model(args, args.model)
-    report = evaluation.cross_validate(data, train, module.predict_proba, _folds(args, data))
+    module, _, train_folds, name = _model(args, args.model)
+    report = evaluation.cross_validate(data, train_folds, module.predict_proba,
+                                       _folds(args, data))
     if args.format == "machine":
         header = _config_lines(args, model=name)
         text = "\n".join(header) + "\n" + evaluation.render_machine(report)
@@ -246,8 +249,8 @@ def cmd_compare(args) -> int:
     data = ds.load_samples(_data_path(args))
     folds = _folds(args, data)
     nb_report, svm_report = (
-        evaluation.cross_validate(data, train, module.predict_proba, folds)
-        for module, train, _ in (_model(args, kind) for kind in ("nb", "svm")))
+        evaluation.cross_validate(data, train_folds, module.predict_proba, folds)
+        for module, _, train_folds, _ in (_model(args, kind) for kind in ("nb", "svm")))
 
     if args.format == "machine":
         lines = _config_lines(args)

@@ -60,12 +60,20 @@ class EvaluationReport:
     weighted: PerClassMetrics
     warnings: tuple = ()
     fold_digest: Optional[str] = None
-    # (converged fits, folds) for models that report convergence
-    svm_folds_converged: Optional[tuple] = None
+    # per fold (converged, stop, iterations, kkt_violation, n_support) for
+    # models that report convergence
+    svm_folds: tuple = ()
 
     @property
     def incorrect(self) -> int:
         return self.n - self.correct
+
+    @property
+    def svm_folds_converged(self) -> Optional[tuple]:
+        """(converged fits, folds) for models that report convergence."""
+        if not self.svm_folds:
+            return None
+        return sum(fit[0] for fit in self.svm_folds), len(self.svm_folds)
 
 
 def _checked(actual_idx, dist):
@@ -202,39 +210,44 @@ def smoothed_class_distribution(dataset: Dataset) -> np.ndarray:
     return (dataset.class_counts() + 1) / (len(dataset) + len(CLASS_LABELS))
 
 
-def cross_validate(dataset: Dataset, train, predict, folds: FoldAssignment) -> EvaluationReport:
-    """Cross-validation of a trainer and its predictor over ``folds``, which
-    puts each row of ``dataset`` in one of ``folds.k`` folds (an assignment
-    of another length raises DataFormatError).  Predictions are pooled in
-    (fold, within-fold) order, so a fixed assignment gives a fixed report.
+def cross_validate(dataset: Dataset, train_folds, predict,
+                   folds: FoldAssignment) -> EvaluationReport:
+    """Cross-validation of a fold trainer and its predictor over ``folds``,
+    which puts each row of ``dataset`` in one of ``folds.k`` folds (an
+    assignment of another length raises DataFormatError).  Predictions are
+    pooled in (fold, within-fold) order, so a fixed assignment gives a fixed
+    report.
 
-    ``train(train_set)`` returns a model, and ``predict(model, X)`` maps its
-    (n, d) feature rows to (n, k) distributions.  When the model has a
-    ``converged`` field, as an SVM's does, the report counts the converged
-    folds and warns if any did not.
+    ``train_folds(dataset, folds)`` returns the k fold models, model f fitted
+    on the rows outside fold f (``naive_bayes.train_folds``,
+    ``svm.train_folds``), and ``predict(model, X)`` maps (n, d) feature rows
+    to (n, k) distributions.  When the models have a ``converged`` field, as
+    an SVM's do, the report counts the converged folds, warns if any did not
+    and keeps each fold's ``stop``, ``iterations``, ``kkt_violation`` and
+    support-vector count.
     """
     if len(folds.assignment) != len(dataset):
         raise DataFormatError(f"{len(folds.assignment)} fold indices for {len(dataset)} rows")
-    tests, dists, baselines, flags = [], [], [], []
-    for f in range(folds.k):
-        train_set = dataset.subset(folds.train_indices(f))
-        model = train(train_set)
+    models = train_folds(dataset, folds)
+    tests, dists, baselines = [], [], []
+    for f, model in enumerate(models):
         test = folds.test_indices(f)
         dists.append(predict(model, dataset.features[test]))
+        train_set = dataset.subset(folds.train_indices(f))
         baselines.append(np.broadcast_to(smoothed_class_distribution(train_set),
                                          dists[-1].shape))
         tests.append(test)
-        if hasattr(model, "converged"):
-            flags.append(model.converged)
 
     report = evaluate(dataset.y[np.concatenate(tests)], np.concatenate(dists),
                       np.concatenate(baselines), fold_digest=folds.digest())
-    if flags:
-        m, k = sum(flags), folds.k
-        warnings = report.warnings
+    if hasattr(models[0], "converged"):
+        report = replace(report, svm_folds=tuple(
+            (m.converged, m.stop, m.iterations, m.kkt_violation, len(m.coefficients))
+            for m in models))
+        m, k = report.svm_folds_converged
         if m < k:
-            warnings += (f"SMO did not converge in {k - m} of {k} folds",)
-        report = replace(report, warnings=warnings, svm_folds_converged=(m, k))
+            report = replace(report, warnings=report.warnings
+                             + (f"SMO did not converge in {k - m} of {k} folds",))
     return report
 
 
@@ -315,6 +328,10 @@ def render_machine(report: EvaluationReport) -> str:
     if report.svm_folds_converged is not None:
         converged, folds = report.svm_folds_converged
         lines.append(f"svm_folds_converged = {converged}/{folds}")
+    for f, (_, stop, iterations, kkt_violation, n_support) in enumerate(report.svm_folds):
+        lines += [f"svm_fold.{f}.stop = {stop}", f"svm_fold.{f}.iterations = {iterations}",
+                  f"svm_fold.{f}.kkt_violation = {kkt_violation:.17g}",
+                  f"svm_fold.{f}.n_support = {n_support}"]
     for i, warning in enumerate(report.warnings):
         lines.append(f"warning.{i} = {warning}")
     return "\n".join(lines) + "\n"

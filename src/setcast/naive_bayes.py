@@ -18,7 +18,8 @@ The Gaussians are fitted with one of two estimators:
 Scores are accumulated in log space and normalized by max-subtraction, so
 wide schemas and extreme feature values cannot overflow.  Priors and
 posteriors are over the two classes of ``dataset.CLASS_LABELS``, in that
-order; :func:`predict_proba` is the prediction path, one row per sample.
+order; :func:`predict_proba` is the prediction path, one row per sample,
+and :func:`train_folds` fits the folds of a cross-validation.
 Model files are ``dataset.KeyValueFile`` text; every sigma must be positive.
 """
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CLASS_LABELS, Dataset, KeyValueFile
+from .dataset import CLASS_LABELS, Dataset, FoldAssignment, KeyValueFile
 from .errors import DataFormatError, TrainingError
 
 #: Lower bound on any fitted standard deviation (percent units).
@@ -110,6 +111,14 @@ def train(dataset: Dataset, *, priors: str = "frequency",
                         "Gaussian fit; a feature value is too large in magnitude"
                     )
     return NaiveBayesModel(prior_vec, dataset.attribute_names, mu, sigma, estimator)
+
+
+def train_folds(dataset: Dataset, folds: FoldAssignment, *, priors: str = "frequency",
+                estimator: str = "rounded") -> list:
+    """The ``folds.k`` models of a cross-validation over ``folds``: model f is
+    :func:`train` on the rows outside fold f."""
+    return [train(dataset.subset(folds.train_indices(f)), priors=priors, estimator=estimator)
+            for f in range(folds.k)]
 
 
 def predict_proba(model: NaiveBayesModel, X) -> np.ndarray:

@@ -133,9 +133,9 @@ def test_criterion_4_cross_validation_intervals(market_data):
     nb_accs, svm_accs = [], []
     for seed in range(10):
         folds = ds.stratified_folds(market_data, 10, seed)
-        report = ev.cross_validate(market_data, nb.train, nb.predict_proba, folds)
+        report = ev.cross_validate(market_data, nb.train_folds, nb.predict_proba, folds)
         nb_accs.append(report.accuracy)
-        report = ev.cross_validate(market_data, svm.train_smo, svm.predict_proba, folds)
+        report = ev.cross_validate(market_data, svm.train_folds, svm.predict_proba, folds)
         svm_accs.append(report.accuracy)
     elapsed = time.perf_counter() - start
     nb_mean, svm_mean = float(np.mean(nb_accs)), float(np.mean(svm_accs))
@@ -314,7 +314,7 @@ def test_criterion_7_normalization_and_determinism(market_data, tmp_path):
 
 # ---------------------------------------------------------------- criterion 8
 def test_criterion_8_relative_error_bands(market_data):
-    report = ev.cross_validate(market_data, nb.train, nb.predict_proba,
+    report = ev.cross_validate(market_data, nb.train_folds, nb.predict_proba,
                                ds.stratified_folds(market_data, 10, 1))
     ok = abs(report.rae - 77.3338) <= 3.0 and abs(report.rrse - 107.9757) <= 3.0
     _verdict(8, ok, f"RAE {report.rae:.4f}% (band 77.3338+-3), "

@@ -418,6 +418,35 @@ def test_cv_single_class_data_is_precondition_error(tmp_path):
     assert run("cv", "--data", str(path), "--folds", "3") == 2
 
 
+@pytest.mark.parametrize("labels, folds, message", [
+    ([0, 0, 1], "3", "single-class training data: {'UP': 2, 'DOWN': 0}"),
+    ([0, 1], "2", "need at least 2 training samples"),
+], ids=["single-class fold", "one-row fold"])
+def test_cv_svm_degenerate_fold_is_training_error(tmp_path, capsys, labels, folds, message):
+    path = tmp_path / "samples.csv"
+    ds.save_samples(ds.Dataset(np.arange(6.0 * len(labels)).reshape(-1, 6), labels), path)
+    assert run("cv", "--model", "svm", "--data", str(path), "--folds", folds) == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cv_machine_report_lists_each_svm_fold(tmp_path, capsys, market_data):
+    path = tmp_path / "cv.txt"
+    assert run("cv", "--model", "svm", "--format", "machine", "--output", str(path)) == 0
+    lines = path.read_text().splitlines()
+    start = lines.index("svm_folds_converged = 10/10") + 1
+    fields = ("stop", "iterations", "kkt_violation", "n_support")
+    assert [line.partition(" = ")[0] for line in lines[start:]] == [
+        f"svm_fold.{f}.{name}" for f in range(10) for name in fields]
+    models = svm.train_folds(market_data, ds.stratified_folds(market_data, 10, 1))
+    assert lines[start:] == [
+        f"svm_fold.{f}.{name} = {value}" for f, m in enumerate(models)
+        for name, value in zip(fields, (m.stop, m.iterations, f"{m.kkt_violation:.17g}",
+                                        len(m.coefficients)))]
+    assert all(m.stop == "gap reached" and m.kkt_violation <= 1e-3 for m in models)
+    assert run("cv", "--model", "svm") == 0
+    assert "svm_fold" not in capsys.readouterr().out
+
+
 def test_train_single_class_data_is_training_error(tmp_path, capsys):
     path = tmp_path / "oneclass.csv"
     data = ds.Dataset(np.arange(18, dtype=float).reshape(3, 6), [0] * 3)  # all UP
@@ -441,6 +470,8 @@ def test_compare_machine_report(tmp_path):
     assert entries["svm.correct"] == "20"
     assert entries["svm.svm_folds_converged"] == "10/10"
     assert "nb.svm_folds_converged" not in entries
+    assert "svm.svm_fold.9.n_support" in entries
+    assert not any(key.startswith("nb.svm_fold") for key in entries)
     for prefix in ("nb", "svm"):
         for key in ("accuracy", "kappa", "mae", "rmse", "rae_percent",
                     "rrse_percent", "confusion.UP.DOWN"):

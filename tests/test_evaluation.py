@@ -201,7 +201,7 @@ def test_smoothed_class_distribution(market_data):
 # --------------------------------------------------------------- cross-validation
 def test_cross_validate_naive_bayes_frozen(market_data):
     folds = ds.stratified_folds(market_data, 10, 1)
-    report = ev.cross_validate(market_data, nb.train, nb.predict_proba, folds)
+    report = ev.cross_validate(market_data, nb.train_folds, nb.predict_proba, folds)
     assert (report.n, report.correct) == (30, 19)
     assert report.rae == pytest.approx(79.39640570815253, abs=1e-9)
     assert report.rrse == pytest.approx(108.76560666771722, abs=1e-9)
@@ -209,7 +209,7 @@ def test_cross_validate_naive_bayes_frozen(market_data):
 
 
 def test_cross_validate_svm_frozen(market_data):
-    report = ev.cross_validate(market_data, svm.train_smo, svm.predict_proba,
+    report = ev.cross_validate(market_data, svm.train_folds, svm.predict_proba,
                                ds.stratified_folds(market_data, 10, 1))
     assert (report.n, report.correct) == (30, 20)
 
@@ -218,27 +218,27 @@ def test_cross_validate_svm_frozen(market_data):
                          ids=["linear", "rbf"])
 def test_a_reused_svm_learner_matches_fresh_ones(kernel):
     rng = np.random.default_rng(13)
-    train = partial(svm.train_smo, kernel=kernel)
+    train_folds = partial(svm.train_folds, kernel=kernel)
     for n in (120, 300, 80):
         data = toy_dataset(rng.normal(0.3, 1.0, size=(n // 2, 4)),
                            rng.normal(-0.3, 1.0, size=(n - n // 2, 4)))
         folds = ds.stratified_folds(data, 10, 3)
-        reused = ev.cross_validate(data, train, svm.predict_proba, folds)
-        fresh = ev.cross_validate(data, partial(svm.train_smo, kernel=kernel),
+        reused = ev.cross_validate(data, train_folds, svm.predict_proba, folds)
+        fresh = ev.cross_validate(data, partial(svm.train_folds, kernel=kernel),
                                   svm.predict_proba, ds.stratified_folds(data, 10, 3))
         assert ev.render_machine(reused) == ev.render_machine(fresh)
 
 
 def test_rbf_cross_validation_holds_one_kernel_matrix():
     # NumPy reports its buffers to tracemalloc: the ten folds of 900
-    # training rows share one 8 * 900^2-byte kernel matrix
+    # training rows share one 8 * 1000^2-byte kernel matrix over all rows
     rng = np.random.default_rng(12)
     data = toy_dataset(rng.normal(0.3, 1.0, size=(500, 6)),
                        rng.normal(-0.3, 1.0, size=(500, 6)))
     folds = ds.stratified_folds(data, 10, 1)
     tracemalloc.start()
     try:
-        ev.cross_validate(data, partial(svm.train_smo, kernel=svm.rbf_kernel(1.0)),
+        ev.cross_validate(data, partial(svm.train_folds, kernel=svm.rbf_kernel(1.0)),
                           svm.predict_proba, folds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -246,11 +246,12 @@ def test_rbf_cross_validation_holds_one_kernel_matrix():
     assert peak <= 1.5 * 8 * 900 ** 2
 
 
-def memorize(dataset):
-    """A training partition's label of each feature row: with
+def memorize(dataset, folds):
+    """Each training partition's label of each feature row: with
     :func:`recall`, a predictor that detects any leakage of test rows into
     the training partition."""
-    return {tuple(x): c for x, c in zip(dataset.features, dataset.y.tolist())}
+    return [{tuple(x): c for x, c in zip(dataset.features[rows], dataset.y[rows].tolist())}
+            for rows in map(folds.train_indices, range(folds.k))]
 
 
 def recall(table, X):
@@ -277,15 +278,15 @@ def test_cross_validate_pools_a_given_assignment_in_fold_order(monkeypatch):
         pooled.append((np.asarray(actual_idx).tolist(), np.asarray(dist)[:, 0].tolist()))
         return evaluate(actual_idx, dist, baseline, **kwargs)
 
-    def train(train_set):
-        return train_set.features[:, 0].tolist()  # the training rows' ids
+    def train_folds(dataset, folds):  # each fold's training rows' ids
+        return [dataset.features[folds.train_indices(f), 0].tolist() for f in range(folds.k)]
 
     def predict(train_rows, X):
         assert not set(X[:, 0].tolist()) & set(train_rows)
         return np.column_stack([X[:, 0] / 10, 1 - X[:, 0] / 10])
 
     monkeypatch.setattr(ev, "evaluate", spy)
-    report = ev.cross_validate(data, train, predict, folds)
+    report = ev.cross_validate(data, train_folds, predict, folds)
     assert pooled == [([0, 0, 0, 1, 1, 1], [0.1, 0.2, 0.0, 0.3, 0.4, 0.5])]
     assert report.fold_digest == folds.digest()
     assert report.n == 6 and report.svm_folds_converged is None
@@ -295,12 +296,12 @@ def test_cross_validate_rejects_an_assignment_of_another_length(market_data):
     folds = ds.stratified_folds(market_data, 10, 1)
     short = ds.FoldAssignment(10, folds.assignment[:-1])
     with pytest.raises(DataFormatError, match="29 fold indices for 30 rows"):
-        ev.cross_validate(market_data, nb.train, nb.predict_proba, short)
+        ev.cross_validate(market_data, nb.train_folds, nb.predict_proba, short)
 
 
 # ------------------------------------------------------------------- rendering
 def test_render_text_layout(market_data):
-    report = ev.cross_validate(market_data, nb.train, nb.predict_proba,
+    report = ev.cross_validate(market_data, nb.train_folds, nb.predict_proba,
                                ds.stratified_folds(market_data, 10, 1))
     text = ev.render_text(report)
     for block in ("=== Summary ===", "=== Detailed accuracy by class ===",
@@ -316,7 +317,7 @@ def test_render_text_layout(market_data):
 
 def test_render_machine_keys(market_data):
     folds = ds.stratified_folds(market_data, 10, 1)
-    report = ev.cross_validate(market_data, nb.train, nb.predict_proba, folds)
+    report = ev.cross_validate(market_data, nb.train_folds, nb.predict_proba, folds)
     machine = ev.render_machine(report)
     entries = dict(
         line.partition(" = ")[::2] for line in machine.strip().splitlines()
