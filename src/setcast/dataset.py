@@ -93,10 +93,22 @@ class RawSeries:
 
 @dataclass(frozen=True)
 class FoldAssignment:
-    """Per-sample fold indices for k-fold cross-validation."""
+    """Per-sample fold indices for k-fold cross-validation: ``k`` is an int
+    >= 2, not a bool (a NumPy integer is converted), and ``assignment`` a
+    1-D array of integers in [0, k); anything else raises DataFormatError."""
 
     k: int
     assignment: np.ndarray
+
+    def __post_init__(self):
+        k, assignment = self.k, np.asarray(self.assignment)
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 2:
+            raise DataFormatError(f"fold count must be an int >= 2, got {k!r}")
+        if (assignment.ndim != 1 or assignment.dtype.kind not in "iu"
+                or ((assignment < 0) | (assignment >= k)).any()):
+            raise DataFormatError(f"fold indices must be a 1-D array of integers in [0, {k})")
+        object.__setattr__(self, "k", int(k))
+        object.__setattr__(self, "assignment", assignment)
 
     def test_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignment == fold)
@@ -128,22 +140,21 @@ class CsvFormat:
     bad_header: str
     bad_width: str  # formatted with got= and want=
     no_header: str = ""  # for a file without a header line; default bad_header
-    blank_nan: bool = False  # a blank float cell reads as NaN
-    finite: bool = False  # a non-finite float fails its row
+    blank_nan: bool = False  # a blank cell reads as NaN; else a non-finite float fails its row
 
 
 _SAMPLE_HEADER = ATTRIBUTE_NAMES + (LABEL_COLUMN,)
 _RAW_HEADER = ("DATE",) + RAW_COLUMNS
 #: Labeled samples: six finite features and an UP/DOWN label per row.
 SAMPLES = CsvFormat((_SAMPLE_HEADER,), 0, 6, "label", f"expected header {','.join(_SAMPLE_HEADER)}",
-                    "expected {want} columns, got {got}", finite=True)
+                    "expected {want} columns, got {got}")
 #: Raw daily prices: a date and seven prices per row, blank when missing.
 RAW = CsvFormat((_RAW_HEADER,), 1, 7, "date", f"expected header {','.join(_RAW_HEADER)}",
                 "expected {want} columns, got {got}", blank_nan=True)
 #: Samples to predict: six finite features and an optional label column,
 #: which is not read.
 FEATURES = CsvFormat((ATTRIBUTE_NAMES, _SAMPLE_HEADER), 0, 6, "", "unrecognized sample header",
-                     "{got} values, header has {want}", "missing header", finite=True)
+                     "{got} values, header has {want}", "missing header")
 
 
 def read_text(path) -> str:
@@ -227,7 +238,7 @@ def _read_columns(fh, fmt):
                                 usecols=range(fmt.first, fmt.first + fmt.width))
         except ValueError:
             return None
-        if fmt.finite and not np.isfinite(values).all():
+        if not fmt.blank_nan and not np.isfinite(values).all():
             return None
         blocks.append(values)
     return np.concatenate(blocks), keys
@@ -275,7 +286,7 @@ def _checked_rows(path, fh, fmt):
                          for cell in row[fmt.first:fmt.first + fmt.width]])
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-        if fmt.finite and not all(map(math.isfinite, rows[-1])):
+        if not fmt.blank_nan and not all(map(math.isfinite, rows[-1])):
             raise DataFormatError(f"{path}:{lineno}: non-finite feature value")
         if fmt.key:
             keys.append(_token(row[-1 if fmt.key == "label" else 0], fmt))

@@ -60,20 +60,11 @@ class EvaluationReport:
     weighted: PerClassMetrics
     warnings: tuple = ()
     fold_digest: Optional[str] = None
-    # per fold (converged, stop, iterations, kkt_violation, n_support) for
-    # models that report convergence
-    svm_folds: tuple = ()
+    svm_folds: tuple = ()  # the fold models, for models that report convergence
 
     @property
     def incorrect(self) -> int:
         return self.n - self.correct
-
-    @property
-    def svm_folds_converged(self) -> Optional[tuple]:
-        """(converged fits, folds) for models that report convergence."""
-        if not self.svm_folds:
-            return None
-        return sum(fit[0] for fit in self.svm_folds), len(self.svm_folds)
 
 
 def _checked(actual_idx, dist):
@@ -205,9 +196,10 @@ def evaluate(actual_idx, dist, baseline=None, *, fold_digest=None) -> Evaluation
                             fold_digest)
 
 
-def smoothed_class_distribution(dataset: Dataset) -> np.ndarray:
-    """Add-one-smoothed class frequencies, the per-fold baseline predictor."""
-    return (dataset.class_counts() + 1) / (len(dataset) + len(CLASS_LABELS))
+def smoothed_class_distribution(counts) -> np.ndarray:
+    """Add-one-smoothed frequencies of the per-class sample ``counts``, the
+    per-fold baseline predictor."""
+    return (counts + 1) / (counts.sum() + len(CLASS_LABELS))
 
 
 def cross_validate(dataset: Dataset, train_folds, predict,
@@ -222,9 +214,8 @@ def cross_validate(dataset: Dataset, train_folds, predict,
     on the rows outside fold f (``naive_bayes.train_folds``,
     ``svm.train_folds``), and ``predict(model, X)`` maps (n, d) feature rows
     to (n, k) distributions.  When the models have a ``converged`` field, as
-    an SVM's do, the report counts the converged folds, warns if any did not
-    and keeps each fold's ``stop``, ``iterations``, ``kkt_violation`` and
-    support-vector count.
+    an SVM's do, the report keeps them in ``svm_folds`` and warns if any did
+    not converge.
     """
     if len(folds.assignment) != len(dataset):
         raise DataFormatError(f"{len(folds.assignment)} fold indices for {len(dataset)} rows")
@@ -233,21 +224,18 @@ def cross_validate(dataset: Dataset, train_folds, predict,
     for f, model in enumerate(models):
         test = folds.test_indices(f)
         dists.append(predict(model, dataset.features[test]))
-        train_set = dataset.subset(folds.train_indices(f))
-        baselines.append(np.broadcast_to(smoothed_class_distribution(train_set),
-                                         dists[-1].shape))
+        counts = np.bincount(dataset.y[folds.assignment != f], minlength=len(CLASS_LABELS))
+        baselines.append(np.broadcast_to(smoothed_class_distribution(counts), dists[-1].shape))
         tests.append(test)
 
     report = evaluate(dataset.y[np.concatenate(tests)], np.concatenate(dists),
                       np.concatenate(baselines), fold_digest=folds.digest())
     if hasattr(models[0], "converged"):
-        report = replace(report, svm_folds=tuple(
-            (m.converged, m.stop, m.iterations, m.kkt_violation, len(m.coefficients))
-            for m in models))
-        m, k = report.svm_folds_converged
-        if m < k:
+        report = replace(report, svm_folds=tuple(models))
+        failed = sum(not m.converged for m in models)
+        if failed:
             report = replace(report, warnings=report.warnings
-                             + (f"SMO did not converge in {k - m} of {k} folds",))
+                             + (f"SMO did not converge in {failed} of {len(models)} folds",))
     return report
 
 
@@ -325,13 +313,13 @@ def render_machine(report: EvaluationReport) -> str:
         lines += [f"{prefix}.{name} = {getattr(pc, name):.17g}" for name in METRICS]
     if report.fold_digest:
         lines.append(f"fold_digest = {report.fold_digest}")
-    if report.svm_folds_converged is not None:
-        converged, folds = report.svm_folds_converged
-        lines.append(f"svm_folds_converged = {converged}/{folds}")
-    for f, (_, stop, iterations, kkt_violation, n_support) in enumerate(report.svm_folds):
-        lines += [f"svm_fold.{f}.stop = {stop}", f"svm_fold.{f}.iterations = {iterations}",
-                  f"svm_fold.{f}.kkt_violation = {kkt_violation:.17g}",
-                  f"svm_fold.{f}.n_support = {n_support}"]
+    if report.svm_folds:
+        converged = sum(m.converged for m in report.svm_folds)
+        lines.append(f"svm_folds_converged = {converged}/{len(report.svm_folds)}")
+    for f, m in enumerate(report.svm_folds):
+        lines += [f"svm_fold.{f}.stop = {m.stop}", f"svm_fold.{f}.iterations = {m.iterations}",
+                  f"svm_fold.{f}.kkt_violation = {m.kkt_violation:.17g}",
+                  f"svm_fold.{f}.n_support = {len(m.coefficients)}"]
     for i, warning in enumerate(report.warnings):
         lines.append(f"warning.{i} = {warning}")
     return "\n".join(lines) + "\n"

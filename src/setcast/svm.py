@@ -24,7 +24,8 @@ array: the RBF kernel is built in place with one block of rows as its only
 temporary.  No model array refers to the kernel matrix, so it is freed when
 the fit returns.  :func:`train_folds` fits every fold of a cross-validation
 on one kernel matrix over all n rows, masking each fold's test rows out of
-the loop instead of copying the training rows' kernel.
+the loop instead of copying the training rows' kernel; a fold refitted
+after its pass budget builds its own only once that matrix is freed.
 
 Class mapping is fixed: UP -> +1, DOWN -> -1, and a decision value of exactly
 zero classifies as DOWN.  :func:`decision_values` and :func:`predict_proba`
@@ -169,7 +170,6 @@ def kernel_matrix(spec: KernelSpec, X, Z) -> np.ndarray:
     return np.exp(inner, out=inner)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises instead
 def train_smo(dataset: Dataset, kernel: KernelSpec = KernelSpec(LINEAR),
               config: TrainerConfig = TrainerConfig()) -> SvmModel:
     """Solve the dual problem on a two-class dataset, by default with a linear
@@ -181,15 +181,9 @@ def train_smo(dataset: Dataset, kernel: KernelSpec = KernelSpec(LINEAR),
     decision values are not finite.  On hitting the pass budget the best
     iterate is returned with ``converged=False`` rather than failing.
     """
-    _require_trainable(dataset.y)
-    n, y = len(dataset), _signs(dataset)
-    K = _checked_kernel(dataset, kernel)
-    rows = np.ones(n, dtype=bool)
-    alpha, stop, iterations = _smo(K, y, np.zeros(n), np.zeros(n), rows, config)
-    return _finish(K, y, alpha, rows, stop, iterations, dataset, kernel, config)
+    return _fit(dataset, [np.zeros(len(dataset), dtype=bool)], kernel, config)[0]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises instead
 def train_folds(dataset: Dataset, folds: FoldAssignment, kernel: KernelSpec = KernelSpec(LINEAR),
                 config: TrainerConfig = TrainerConfig()) -> list:
     """The ``folds.k`` models of a cross-validation over ``folds``: model f
@@ -201,23 +195,41 @@ def train_folds(dataset: Dataset, folds: FoldAssignment, kernel: KernelSpec = Ke
     rows keep alpha 0 and never enter a working pair.  Fold f starts from
     fold f - 1's alphas (alpha seeding; DeCoste & Wagstaff, KDD 2000), so it
     takes fewer iterations than a start from zero; the models differ from
-    ``train_smo``'s within the KKT tolerance.
+    ``train_smo``'s within the KKT tolerance.  A seeded fold that stops at
+    the pass budget is fitted again by ``train_smo`` once the shared kernel
+    is freed, and that model replaces it if it converged, so a fold never
+    converges less often than ``train_smo`` on its rows.
 
     Every fold's training rows are checked first, in fold order, with
     ``train_smo``'s TrainingError messages; a kernel matrix or fitted
     decision values that are not finite raise DataFormatError as there.
     """
-    held_out = [folds.assignment == f for f in range(folds.k)]
+    return _fit(dataset, [folds.assignment == f for f in range(folds.k)], kernel, config)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises instead
+def _fit(dataset, held_out, kernel, config):
+    """One model per mask of ``held_out``, fitted on the rows outside it, in
+    order, each started from the last one's alphas."""
     for test in held_out:
         _require_trainable(dataset.y[~test])
-    y = _signs(dataset)
-    K = _checked_kernel(dataset, kernel)
-    alpha, models = np.zeros(len(dataset)), []
+    y = np.where(dataset.y == CLASS_LABELS.index(UP), 1.0, -1.0)
+    X = dataset.features
+    K = kernel_matrix(kernel, X, X)  # bitwise symmetric: row K[i] is column i
+    _require_finite(K, dataset, kernel)
+    alpha, models, seeded = np.zeros(len(dataset)), [], []
     for test in held_out:
         rows = ~test
         _seed(alpha, y, test, config.C)
+        seeded.append(alpha.any())
         alpha, stop, iterations = _smo(K, y, alpha, K @ (alpha * y), rows, config)
         models.append(_finish(K, y, alpha, rows, stop, iterations, dataset, kernel, config))
+    del K  # a refit below builds its own, smaller kernel matrix
+    for f, test in enumerate(held_out):
+        if seeded[f] and models[f].stop == "pass budget":
+            cold = train_smo(dataset.subset(np.flatnonzero(~test)), kernel, config)
+            if cold.converged:
+                models[f] = cold
     return models
 
 
@@ -230,20 +242,6 @@ def _require_trainable(labels):
     if not counts.all():
         counts = dict(zip(CLASS_LABELS, counts.tolist()))
         raise TrainingError(f"single-class training data: {counts}")
-
-
-def _signs(dataset):
-    """+1 for each UP row, -1 for each DOWN row."""
-    return np.where(dataset.y == CLASS_LABELS.index(UP), 1.0, -1.0)
-
-
-def _checked_kernel(dataset, kernel):
-    """The kernel matrix of every row of ``dataset`` with every row, which
-    must be finite."""
-    X = dataset.features
-    K = kernel_matrix(kernel, X, X)  # bitwise symmetric: row K[i] is column i
-    _require_finite(K, dataset, kernel)
-    return K
 
 
 def _snap_width(C):

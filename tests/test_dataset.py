@@ -277,9 +277,44 @@ def test_fold_count_bounds(market_data):
         ds.stratified_folds(market_data, 1, 0)
     with pytest.raises(DataFormatError):
         ds.stratified_folds(market_data, 31, 0)
+    # a float k used to pass here and break FoldAssignment.digest
+    with pytest.raises(DataFormatError, match=r"^fold count must be an int >= 2, got 2\.0$"):
+        ds.stratified_folds(market_data, 2.0, 1)
     for seed in (-1, 1.0, None):
         with pytest.raises(DataFormatError, match="seed must be a non-negative integer"):
             ds.stratified_folds(market_data, 10, seed)
+
+
+@pytest.mark.parametrize("k", [2.0, np.float64(3.0), True, "3", None, 1, 0, -2])
+def test_fold_assignment_requires_an_int_fold_count_of_two_or_more(k):
+    with pytest.raises(DataFormatError, match=r"^fold count must be an int >= 2, got "):
+        ds.FoldAssignment(k, np.array([0, 1, 0, 1]))
+
+
+def test_numpy_integer_fold_count_is_an_int(market_data):
+    folds = ds.stratified_folds(market_data, np.int64(3), 1)
+    assert type(folds.k) is int
+    assert folds.digest() == ds.stratified_folds(market_data, 3, 1).digest()
+
+
+FOLD_INDICES = r"^fold indices must be a 1-D array of integers in \[0, 3\)$"
+
+
+@pytest.mark.parametrize("index", [3, 7, -1, 1.0])
+def test_fold_assignment_requires_indices_in_range(index, market_data):
+    # an index outside [0, k) held its row out of every test fold and put it
+    # in every training set, so cross_validate reported 29 of 30 rows
+    assignment = ds.stratified_folds(market_data, 3, 1).assignment.tolist()
+    assignment[4] = index
+    with pytest.raises(DataFormatError, match=FOLD_INDICES):
+        ds.FoldAssignment(3, np.array(assignment))
+
+
+def test_fold_assignment_is_one_dimensional(market_data):
+    # a column of indices raised IndexError in every fold trainer
+    assignment = ds.stratified_folds(market_data, 3, 1).assignment
+    with pytest.raises(DataFormatError, match=FOLD_INDICES):
+        ds.FoldAssignment(3, assignment[:, None])
 
 
 @st.composite

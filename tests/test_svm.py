@@ -666,6 +666,7 @@ def test_fold_models_solve_each_fold(kernel, k):
             if model.converged:
                 assert model.kkt_violation <= config.kkt_tol
             cold = svm.train_smo(data.subset(folds.train_indices(f)), kernel, config)
+            assert model.converged or not cold.converged
             if model.converged and cold.converged:
                 compared += 1
                 want = _dual_objective(cold)
