@@ -12,9 +12,9 @@ from setcast import dataset as ds
 from setcast import svm
 
 KERNELS = (
-    ("linear", svm.linear_kernel()),
-    ("poly d=2", svm.polynomial_kernel(2)),
-    ("rbf d^2=1", svm.rbf_kernel(1.0)),
+    ("linear", svm.KernelSpec(svm.LINEAR)),
+    ("poly d=2", svm.KernelSpec(svm.POLY, degree=2)),
+    ("rbf d^2=1", svm.KernelSpec(svm.RBF, delta_sq=1.0)),
 )
 
 
@@ -46,7 +46,7 @@ for name, kernel in KERNELS:
           f"{len(model.coefficients):5d}{str(model.converged):>11s}"
           f"{model.kkt_violation:12.2e}{model.bias:10.4f}")
 
-model = svm.train_smo(data, svm.linear_kernel(), svm.TrainerConfig())
+model = svm.train_smo(data, svm.KernelSpec(svm.LINEAR), svm.TrainerConfig())
 w = (model.coefficients * model.labels) @ model.support_vectors
 print("\nlinear model weight per attribute (w = sum alpha_i y_i x_i):")
 for attr, weight in zip(ds.ATTRIBUTE_NAMES, w):

@@ -156,12 +156,11 @@ def _model(args, kind):
     if kind == "nb":
         return (module, partial(module.train, priors=args.priors),
                 partial(module.train_folds, priors=args.priors), "nb")
-    if args.kernel == module.POLY:
-        kernel = module.polynomial_kernel(_positive(args, "degree"))
-    elif args.kernel == module.RBF:
-        kernel = module.rbf_kernel(_positive(args, "delta_sq"))
-    else:
-        kernel = module.linear_kernel()
+    kernel = module.KernelSpec(
+        args.kernel,
+        degree=_positive(args, "degree") if args.kernel == module.POLY else None,
+        delta_sq=_positive(args, "delta_sq") if args.kernel == module.RBF else None,
+    )
     config = module.TrainerConfig(C=_positive(args, "cost"), kkt_tol=_positive(args, "kkt_tol"),
                                   max_passes=_positive(args, "max_passes"))
     return (module, partial(module.train_smo, kernel=kernel, config=config),

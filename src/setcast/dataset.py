@@ -75,9 +75,12 @@ class Dataset:
         """Per-class sample counts, in CLASS_LABELS order."""
         return np.bincount(self.y, minlength=len(CLASS_LABELS))
 
-    def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=int)
-        return Dataset(self.features[idx], self.y[idx], self.attribute_names)
+    def subset(self, rows) -> "Dataset":
+        """The rows where the boolean mask ``rows`` is true, or else the rows
+        at the integer indices ``rows``, in their order."""
+        rows = np.asarray(rows)
+        rows = rows if rows.dtype == bool else rows.astype(int)
+        return Dataset(self.features[rows], self.y[rows], self.attribute_names)
 
 
 @dataclass(frozen=True)
@@ -109,12 +112,6 @@ class FoldAssignment:
             raise DataFormatError(f"fold indices must be a 1-D array of integers in [0, {k})")
         object.__setattr__(self, "k", int(k))
         object.__setattr__(self, "assignment", assignment)
-
-    def test_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == fold)
-
-    def train_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment != fold)
 
     def digest(self) -> str:
         """Short stable fingerprint, for asserting two runs shared one split:

@@ -220,15 +220,15 @@ def cross_validate(dataset: Dataset, train_folds, predict,
     if len(folds.assignment) != len(dataset):
         raise DataFormatError(f"{len(folds.assignment)} fold indices for {len(dataset)} rows")
     models = train_folds(dataset, folds)
-    tests, dists, baselines = [], [], []
+    actual, dists, baselines = [], [], []
     for f, model in enumerate(models):
-        test = folds.test_indices(f)
+        test = folds.assignment == f
         dists.append(predict(model, dataset.features[test]))
-        counts = np.bincount(dataset.y[folds.assignment != f], minlength=len(CLASS_LABELS))
+        counts = np.bincount(dataset.y[~test], minlength=len(CLASS_LABELS))
         baselines.append(np.broadcast_to(smoothed_class_distribution(counts), dists[-1].shape))
-        tests.append(test)
+        actual.append(dataset.y[test])
 
-    report = evaluate(dataset.y[np.concatenate(tests)], np.concatenate(dists),
+    report = evaluate(np.concatenate(actual), np.concatenate(dists),
                       np.concatenate(baselines), fold_digest=folds.digest())
     if hasattr(models[0], "converged"):
         report = replace(report, svm_folds=tuple(models))

@@ -117,7 +117,7 @@ def train_folds(dataset: Dataset, folds: FoldAssignment, *, priors: str = "frequ
                 estimator: str = "rounded") -> list:
     """The ``folds.k`` models of a cross-validation over ``folds``: model f is
     :func:`train` on the rows outside fold f."""
-    return [train(dataset.subset(folds.train_indices(f)), priors=priors, estimator=estimator)
+    return [train(dataset.subset(folds.assignment != f), priors=priors, estimator=estimator)
             for f in range(folds.k)]
 
 

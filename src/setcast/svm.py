@@ -83,18 +83,6 @@ class KernelSpec:
         return "linear"
 
 
-def linear_kernel() -> KernelSpec:
-    return KernelSpec(LINEAR)
-
-
-def polynomial_kernel(degree: int) -> KernelSpec:
-    return KernelSpec(POLY, degree=degree)
-
-
-def rbf_kernel(delta_sq: float) -> KernelSpec:
-    return KernelSpec(RBF, delta_sq=delta_sq)
-
-
 @dataclass(frozen=True)
 class TrainerConfig:
     """SMO settings.
@@ -188,7 +176,7 @@ def train_folds(dataset: Dataset, folds: FoldAssignment, kernel: KernelSpec = Ke
                 config: TrainerConfig = TrainerConfig()) -> list:
     """The ``folds.k`` models of a cross-validation over ``folds``: model f
     solves the dual problem on the rows outside fold f, as
-    ``train_smo(dataset.subset(folds.train_indices(f)), kernel, config)``
+    ``train_smo(dataset.subset(folds.assignment != f), kernel, config)``
     does, to the same tolerance and with the same pass budget per row.
 
     One n x n kernel matrix over all rows serves every fold: fold f's test
@@ -227,7 +215,7 @@ def _fit(dataset, held_out, kernel, config):
     del K  # a refit below builds its own, smaller kernel matrix
     for f, test in enumerate(held_out):
         if seeded[f] and models[f].stop == "pass budget":
-            cold = train_smo(dataset.subset(np.flatnonzero(~test)), kernel, config)
+            cold = train_smo(dataset.subset(~test), kernel, config)
             if cold.converged:
                 models[f] = cold
     return models

@@ -208,8 +208,8 @@ def test_criterion_5_smo_optimality_oracle():
         if abs(y.sum()) == n:
             y[0] = -y[0]
         X = rng.normal(size=(n, int(rng.integers(1, 4))))
-        kernel = [svm.linear_kernel(), svm.polynomial_kernel(2),
-                  svm.rbf_kernel(2.0)][trial % 3]
+        kernel = [svm.KernelSpec(svm.LINEAR), svm.KernelSpec(svm.POLY, degree=2),
+                  svm.KernelSpec(svm.RBF, delta_sq=2.0)][trial % 3]
         C = float(rng.choice([0.5, 1.0, 4.0]))
         data = ds.Dataset(
             X,
@@ -280,7 +280,7 @@ def test_criterion_7_normalization_and_determinism(market_data, tmp_path):
     worst = 0.0
     nb_model = nb.train(market_data)
     plain_model = nb.train(market_data, estimator="plain")
-    svm_model = svm.train_smo(market_data, svm.linear_kernel(), svm.TrainerConfig())
+    svm_model = svm.train_smo(market_data, svm.KernelSpec(svm.LINEAR), svm.TrainerConfig())
     for x in market_data.features:
         for dist in (
             nb.predict_distribution(nb_model, x),

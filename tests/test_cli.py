@@ -117,7 +117,7 @@ def test_train_writes_model_files(tmp_path):
     assert nb_path.read_text().startswith("model = nb\n")
     model = svm.load_model(svm_path)
     assert model.converged
-    assert model.kernel == svm.linear_kernel()
+    assert model.kernel == svm.KernelSpec(svm.LINEAR)
 
 
 def test_train_requires_output(capsys):
@@ -255,7 +255,7 @@ def test_predict_dimension_mismatch(tmp_path):
     )
     model_path = tmp_path / "narrow.model"
     svm.save_model(
-        svm.train_smo(data, svm.linear_kernel(), svm.TrainerConfig()), model_path
+        svm.train_smo(data, svm.KernelSpec(svm.LINEAR), svm.TrainerConfig()), model_path
     )
     assert run("predict", "--model-file", str(model_path)) == 2
 

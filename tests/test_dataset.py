@@ -175,6 +175,23 @@ def test_dataset_holds_class_indices_as_int8():
     assert data.subset([2, 0]).y.tolist() == [1, 1]
 
 
+def test_subset_selects_the_rows_of_a_boolean_mask(market_data):
+    mask = np.zeros(len(market_data), dtype=bool)
+    mask[5:8] = True
+    part = market_data.subset(mask)
+    np.testing.assert_array_equal(part.features, market_data.features[5:8])
+    np.testing.assert_array_equal(part.y, market_data.y[5:8])
+
+
+@given(st.lists(st.booleans(), min_size=30, max_size=30))
+def test_subset_by_mask_equals_subset_by_its_indices(market_data, mask):
+    by_mask = market_data.subset(np.array(mask))
+    by_index = market_data.subset(np.flatnonzero(mask))
+    assert by_mask.features.tobytes() == by_index.features.tobytes()
+    assert by_mask.y.tobytes() == by_index.y.tobytes()
+    assert by_mask.attribute_names == by_index.attribute_names
+
+
 def test_load_samples_missing_file(tmp_path):
     with pytest.raises(OSError):
         ds.load_samples(tmp_path / "nope.csv")
@@ -260,7 +277,7 @@ def test_fixture_folds_balanced(market_data):
     for seed in range(5):
         folds = ds.stratified_folds(market_data, 10, seed)
         for f in range(10):
-            test = folds.test_indices(f)
+            test = np.flatnonzero(folds.assignment == f)
             assert len(test) == 3
             up_count = int((market_data.y[test] == 0).sum())
             assert up_count in (1, 2)
@@ -268,7 +285,7 @@ def test_fixture_folds_balanced(market_data):
 
 def test_leave_one_out(market_data):
     folds = ds.stratified_folds(market_data, len(market_data), 0)
-    sizes = [len(folds.test_indices(f)) for f in range(len(market_data))]
+    sizes = [len(np.flatnonzero(folds.assignment == f)) for f in range(len(market_data))]
     assert sizes == [1] * len(market_data)
 
 
@@ -352,11 +369,11 @@ def test_fold_invariants(case):
 
 def test_folds_partition(market_data):
     folds = ds.stratified_folds(market_data, 7, 3)
-    seen = np.concatenate([folds.test_indices(f) for f in range(7)])
+    seen = np.concatenate([np.flatnonzero(folds.assignment == f) for f in range(7)])
     assert sorted(seen) == list(range(30))
     for f in range(7):
-        train = set(folds.train_indices(f))
-        test = set(folds.test_indices(f))
+        train = set(np.flatnonzero(folds.assignment != f))
+        test = set(np.flatnonzero(folds.assignment == f))
         assert not train & test
         assert train | test == set(range(30))
 

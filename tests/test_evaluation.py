@@ -214,7 +214,8 @@ def test_cross_validate_svm_frozen(market_data):
     assert (report.n, report.correct) == (30, 20)
 
 
-@pytest.mark.parametrize("kernel", [svm.linear_kernel(), svm.rbf_kernel(2.0)],
+@pytest.mark.parametrize("kernel", [svm.KernelSpec(svm.LINEAR),
+                                    svm.KernelSpec(svm.RBF, delta_sq=2.0)],
                          ids=["linear", "rbf"])
 def test_a_reused_svm_learner_matches_fresh_ones(kernel):
     rng = np.random.default_rng(13)
@@ -238,7 +239,8 @@ def test_rbf_cross_validation_holds_one_kernel_matrix():
     folds = ds.stratified_folds(data, 10, 1)
     tracemalloc.start()
     try:
-        ev.cross_validate(data, partial(svm.train_folds, kernel=svm.rbf_kernel(1.0)),
+        ev.cross_validate(data,
+                          partial(svm.train_folds, kernel=svm.KernelSpec(svm.RBF, delta_sq=1.0)),
                           svm.predict_proba, folds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -251,7 +253,7 @@ def memorize(dataset, folds):
     :func:`recall`, a predictor that detects any leakage of test rows into
     the training partition."""
     return [{tuple(x): c for x, c in zip(dataset.features[rows], dataset.y[rows].tolist())}
-            for rows in map(folds.train_indices, range(folds.k))]
+            for rows in (folds.assignment != f for f in range(folds.k))]
 
 
 def recall(table, X):
@@ -279,7 +281,7 @@ def test_cross_validate_pools_a_given_assignment_in_fold_order(monkeypatch):
         return evaluate(actual_idx, dist, baseline, **kwargs)
 
     def train_folds(dataset, folds):  # each fold's training rows' ids
-        return [dataset.features[folds.train_indices(f), 0].tolist() for f in range(folds.k)]
+        return [dataset.features[folds.assignment != f, 0].tolist() for f in range(folds.k)]
 
     def predict(train_rows, X):
         assert not set(X[:, 0].tolist()) & set(train_rows)

@@ -24,7 +24,8 @@ def saved_models(market_data, tmp_path_factory):
         (nb, nb.train(market_data, estimator="plain", priors="uniform")),
     ] + [
         (svm, svm.train_smo(market_data, kernel, svm.TrainerConfig()))
-        for kernel in (svm.linear_kernel(), svm.polynomial_kernel(2), svm.rbf_kernel(1.0))
+        for kernel in (svm.KernelSpec(svm.LINEAR), svm.KernelSpec(svm.POLY, degree=2),
+                       svm.KernelSpec(svm.RBF, delta_sq=1.0))
     ]
     work = tmp_path_factory.mktemp("models")
     saved = []

@@ -34,14 +34,14 @@ def _kernel_value(spec, x, z) -> float:
 
 
 def test_kernel_values():
-    assert _kernel_value(svm.linear_kernel(), [1, 2], [3, 4]) == 11.0
-    assert _kernel_value(svm.polynomial_kernel(2), [1, 1], [1, 1]) == 9.0
-    assert _kernel_value(svm.rbf_kernel(3.7), [1.5, -2], [1.5, -2]) == 1.0
+    assert _kernel_value(svm.KernelSpec(svm.LINEAR), [1, 2], [3, 4]) == 11.0
+    assert _kernel_value(svm.KernelSpec(svm.POLY, degree=2), [1, 1], [1, 1]) == 9.0
+    assert _kernel_value(svm.KernelSpec(svm.RBF, delta_sq=3.7), [1.5, -2], [1.5, -2]) == 1.0
 
 
 def test_kernel_dimension_mismatch():
     with pytest.raises(DataFormatError):
-        _kernel_value(svm.linear_kernel(), [1, 2], [1, 2, 3])
+        _kernel_value(svm.KernelSpec(svm.LINEAR), [1, 2], [1, 2, 3])
     model = _train(toy_dataset([[0, 0]], [[1, 1]]))
     with pytest.raises(DataFormatError):
         svm.decision_values(model, [[1.0, 2.0, 3.0]])
@@ -88,7 +88,8 @@ def vector_pair(draw):
 @given(vector_pair())
 def test_kernel_symmetry(pair):
     x, z = pair
-    for spec in (svm.linear_kernel(), svm.polynomial_kernel(3), svm.rbf_kernel(2.0)):
+    for spec in (svm.KernelSpec(svm.LINEAR), svm.KernelSpec(svm.POLY, degree=3),
+                 svm.KernelSpec(svm.RBF, delta_sq=2.0)):
         assert _kernel_value(spec, x, z) == pytest.approx(
             _kernel_value(spec, z, x), rel=1e-12, abs=1e-12
         )
@@ -97,7 +98,8 @@ def test_kernel_symmetry(pair):
 def test_kernel_matrix_agrees_with_kernel_eval():
     rng = np.random.default_rng(0)
     X, Z = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
-    for spec in (svm.linear_kernel(), svm.polynomial_kernel(2), svm.rbf_kernel(1.5)):
+    for spec in (svm.KernelSpec(svm.LINEAR), svm.KernelSpec(svm.POLY, degree=2),
+                 svm.KernelSpec(svm.RBF, delta_sq=1.5)):
         K = svm.kernel_matrix(spec, X, Z)
         for i in range(4):
             for j in range(5):
@@ -107,7 +109,7 @@ def test_kernel_matrix_agrees_with_kernel_eval():
 # ---------------------------------------------------------------------- training
 def _train(data, kernel=None, **cfg):
     return svm.train_smo(
-        data, kernel or svm.linear_kernel(), svm.TrainerConfig(**cfg)
+        data, kernel or svm.KernelSpec(svm.LINEAR), svm.TrainerConfig(**cfg)
     )
 
 
@@ -135,7 +137,7 @@ def _training_accuracy(model, data):
 
 def test_xor_kernels():
     assert _training_accuracy(_train(XOR, C=10.0), XOR) <= 0.75
-    for kernel in (svm.polynomial_kernel(2), svm.rbf_kernel(1.0)):
+    for kernel in (svm.KernelSpec(svm.POLY, degree=2), svm.KernelSpec(svm.RBF, delta_sq=1.0)):
         model = _train(XOR, kernel, C=10.0)
         assert model.converged
         assert _training_accuracy(model, XOR) == 1.0
@@ -150,7 +152,8 @@ def test_training_preconditions():
 
 def test_model_invariants_on_random_problems():
     rng = np.random.default_rng(17)
-    kernels = [svm.linear_kernel(), svm.polynomial_kernel(2), svm.rbf_kernel(2.0)]
+    kernels = [svm.KernelSpec(svm.LINEAR), svm.KernelSpec(svm.POLY, degree=2),
+               svm.KernelSpec(svm.RBF, delta_sq=2.0)]
     fits = []
     for _ in range(25):
         n_up, n_down = rng.integers(1, 6, size=2)
@@ -222,7 +225,8 @@ def test_classification_rule():
     np.testing.assert_array_equal(hard_distribution(tie, [0.0]), [0.0, 1.0])
 
 
-@pytest.mark.parametrize("kernel", [svm.linear_kernel(), svm.rbf_kernel(1.0)],
+@pytest.mark.parametrize("kernel", [svm.KernelSpec(svm.LINEAR),
+                                    svm.KernelSpec(svm.RBF, delta_sq=1.0)],
                          ids=["linear", "rbf"])
 def test_predict_proba_agrees_with_per_row_classify(kernel, monkeypatch):
     rng = np.random.default_rng(4)
@@ -272,7 +276,7 @@ def test_pass_budget_returns_flagged_model(market_data):
 def test_fixture_folds_converge(market_data):
     folds = ds.stratified_folds(market_data, 10, 1)
     for f in range(10):
-        model = _train(market_data.subset(folds.train_indices(f)))
+        model = _train(market_data.subset(folds.assignment != f))
         assert model.converged
         assert model.kkt_violation <= 1e-3
         # free support vectors sit on the margin within tolerance
@@ -286,7 +290,8 @@ def test_fixture_folds_converge(market_data):
 
 # ----------------------------------------------------------------- serialization
 @pytest.mark.parametrize(
-    "kernel", [svm.linear_kernel(), svm.polynomial_kernel(3), svm.rbf_kernel(2.5)]
+    "kernel", [svm.KernelSpec(svm.LINEAR), svm.KernelSpec(svm.POLY, degree=3),
+               svm.KernelSpec(svm.RBF, delta_sq=2.5)]
 )
 def test_model_round_trip(kernel, tmp_path):
     rng = np.random.default_rng(4)
@@ -445,7 +450,8 @@ def _overlapping_problem(seed, n=80, d=4, scale=1.0):
                        rng.normal(-0.3, 1.0, size=(n - n // 2, d)) * scale)
 
 
-KERNELS = [svm.linear_kernel(), svm.polynomial_kernel(2), svm.rbf_kernel(1.0)]
+KERNELS = [svm.KernelSpec(svm.LINEAR), svm.KernelSpec(svm.POLY, degree=2),
+           svm.KernelSpec(svm.RBF, delta_sq=1.0)]
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
@@ -514,10 +520,10 @@ def _mixed_scale_problem(seed):
 
 
 @pytest.mark.parametrize("data, kernel, C, stop", [
-    (lambda: _overlapping_problem(5), svm.linear_kernel(), 1.0, "gap reached"),
-    (lambda: _overlapping_problem(5), svm.polynomial_kernel(2), 4.0, "pass budget"),
-    (lambda: _mixed_scale_problem(2662), svm.linear_kernel(), 1.0, "no move"),
-    (lambda: _overlapping_problem(7, n=30, scale=1e6), svm.linear_kernel(), 1.0,
+    (lambda: _overlapping_problem(5), svm.KernelSpec(svm.LINEAR), 1.0, "gap reached"),
+    (lambda: _overlapping_problem(5), svm.KernelSpec(svm.POLY, degree=2), 4.0, "pass budget"),
+    (lambda: _mixed_scale_problem(2662), svm.KernelSpec(svm.LINEAR), 1.0, "no move"),
+    (lambda: _overlapping_problem(7, n=30, scale=1e6), svm.KernelSpec(svm.LINEAR), 1.0,
      "snapped back"),
 ], ids=["gap reached", "pass budget", "no move", "snapped back"])
 def test_model_names_the_exit_that_ended_the_loop(data, kernel, C, stop):
@@ -537,7 +543,7 @@ def test_stop_at_the_first_gap_test_applies_no_update(kernel):
     assert model.converged and len(model.coefficients) == 0
 
 
-@pytest.mark.parametrize("kernel", KERNELS + [svm.polynomial_kernel(3)],
+@pytest.mark.parametrize("kernel", KERNELS + [svm.KernelSpec(svm.POLY, degree=3)],
                          ids=["linear", "poly", "rbf", "poly degree=3"])
 def test_kernel_matrix_matches_reference_and_is_symmetric(kernel):
     rng = np.random.default_rng(8)
@@ -550,7 +556,7 @@ def test_kernel_matrix_matches_reference_and_is_symmetric(kernel):
     assert K.tobytes() == np.ascontiguousarray(K.T).tobytes()
 
 
-@pytest.mark.parametrize("kernel", KERNELS + [svm.polynomial_kernel(3)],
+@pytest.mark.parametrize("kernel", KERNELS + [svm.KernelSpec(svm.POLY, degree=3)],
                          ids=lambda k: k.describe())
 def test_kernel_matrix_across_row_blocks(kernel):
     # 300 x 500 spans ten RBF row blocks
@@ -571,7 +577,7 @@ def test_rbf_fit_holds_one_kernel_matrix():
     data = _overlapping_problem(11, n=n, d=6)
     tracemalloc.start()
     try:
-        svm.train_smo(data, svm.rbf_kernel(1.0), svm.TrainerConfig())
+        svm.train_smo(data, svm.KernelSpec(svm.RBF, delta_sq=1.0), svm.TrainerConfig())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -659,13 +665,13 @@ def test_fold_models_solve_each_fold(kernel, k):
             _assert_same_model(model, again)  # so the reports are byte-identical
         for f, model in enumerate(models):
             # the rows are distinct, so no support vector may equal a test row
-            test_rows = set(map(tuple, data.features[folds.test_indices(f)].tolist()))
+            test_rows = set(map(tuple, data.features[folds.assignment == f].tolist()))
             assert not test_rows & set(map(tuple, model.support_vectors.tolist()))
             assert (model.coefficients > 0).all() and (model.coefficients <= C).all()
             assert abs(model.coefficients @ model.labels) <= 1e-8
             if model.converged:
                 assert model.kkt_violation <= config.kkt_tol
-            cold = svm.train_smo(data.subset(folds.train_indices(f)), kernel, config)
+            cold = svm.train_smo(data.subset(folds.assignment != f), kernel, config)
             assert model.converged or not cold.converged
             if model.converged and cold.converged:
                 compared += 1
@@ -674,7 +680,8 @@ def test_fold_models_solve_each_fold(kernel, k):
     assert compared >= 2 * k  # the objective check ran on most folds
 
 
-@pytest.mark.parametrize("kernel, C", [(svm.rbf_kernel(1.0), 1.0), (svm.linear_kernel(), 0.1)],
+@pytest.mark.parametrize("kernel, C", [(svm.KernelSpec(svm.RBF, delta_sq=1.0), 1.0),
+                                       (svm.KernelSpec(svm.LINEAR), 0.1)],
                          ids=["rbf", "linear"])
 def test_seeded_folds_take_fewer_iterations(kernel, C):
     # A count, not a timing: warm-starting each fold from the previous
@@ -684,7 +691,7 @@ def test_seeded_folds_take_fewer_iterations(kernel, C):
     data = _overlapping_problem(1, n=1000, d=6)
     folds = ds.stratified_folds(data, 10, 1)
     config = svm.TrainerConfig(C=C)
-    cold = sum(svm.train_smo(data.subset(folds.train_indices(f)), kernel, config).iterations
+    cold = sum(svm.train_smo(data.subset(folds.assignment != f), kernel, config).iterations
                for f in range(10))
     models = svm.train_folds(data, folds, kernel, config)
     assert all(model.converged for model in models)
