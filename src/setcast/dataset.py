@@ -113,6 +113,12 @@ class FoldAssignment:
         object.__setattr__(self, "k", int(k))
         object.__setattr__(self, "assignment", assignment)
 
+    def test_mask(self, f: int, n: int) -> np.ndarray:
+        """Fold f's rows as a mask over ``n`` rows; another n raises DataFormatError."""
+        if len(self.assignment) != n:
+            raise DataFormatError(f"{len(self.assignment)} fold indices for {n} rows")
+        return self.assignment == f
+
     def digest(self) -> str:
         """Short stable fingerprint, for asserting two runs shared one split:
         the CRC-32 of the assignment and k, as 8 hex digits."""

@@ -217,12 +217,10 @@ def cross_validate(dataset: Dataset, train_folds, predict,
     an SVM's do, the report keeps them in ``svm_folds`` and warns if any did
     not converge.
     """
-    if len(folds.assignment) != len(dataset):
-        raise DataFormatError(f"{len(folds.assignment)} fold indices for {len(dataset)} rows")
+    tests = [folds.test_mask(f, len(dataset)) for f in range(folds.k)]
     models = train_folds(dataset, folds)
     actual, dists, baselines = [], [], []
-    for f, model in enumerate(models):
-        test = folds.assignment == f
+    for test, model in zip(tests, models):
         dists.append(predict(model, dataset.features[test]))
         counts = np.bincount(dataset.y[~test], minlength=len(CLASS_LABELS))
         baselines.append(np.broadcast_to(smoothed_class_distribution(counts), dists[-1].shape))

@@ -117,8 +117,8 @@ def train_folds(dataset: Dataset, folds: FoldAssignment, *, priors: str = "frequ
                 estimator: str = "rounded") -> list:
     """The ``folds.k`` models of a cross-validation over ``folds``: model f is
     :func:`train` on the rows outside fold f."""
-    return [train(dataset.subset(folds.assignment != f), priors=priors, estimator=estimator)
-            for f in range(folds.k)]
+    return [train(dataset.subset(~folds.test_mask(f, len(dataset))), priors=priors,
+                  estimator=estimator) for f in range(folds.k)]
 
 
 def predict_proba(model: NaiveBayesModel, X) -> np.ndarray:

@@ -24,8 +24,9 @@ array: the RBF kernel is built in place with one block of rows as its only
 temporary.  No model array refers to the kernel matrix, so it is freed when
 the fit returns.  :func:`train_folds` fits every fold of a cross-validation
 on one kernel matrix over all n rows, masking each fold's test rows out of
-the loop instead of copying the training rows' kernel; a fold refitted
-after its pass budget builds its own only once that matrix is freed.
+the loop and zeroing their alphas, then restoring sum(alpha * y) = 0 from
+the last fold's alphas by moving the fewest, free ones first; a fold
+refitted after its pass budget builds its own only once that matrix is freed.
 
 Class mapping is fixed: UP -> +1, DOWN -> -1, and a decision value of exactly
 zero classifies as DOWN.  :func:`decision_values` and :func:`predict_proba`
@@ -181,18 +182,19 @@ def train_folds(dataset: Dataset, folds: FoldAssignment, kernel: KernelSpec = Ke
 
     One n x n kernel matrix over all rows serves every fold: fold f's test
     rows keep alpha 0 and never enter a working pair.  Fold f starts from
-    fold f - 1's alphas (alpha seeding; DeCoste & Wagstaff, KDD 2000), so it
-    takes fewer iterations than a start from zero; the models differ from
-    ``train_smo``'s within the KKT tolerance.  A seeded fold that stops at
-    the pass budget is fitted again by ``train_smo`` once the shared kernel
-    is freed, and that model replaces it if it converged, so a fold never
-    converges less often than ``train_smo`` on its rows.
+    fold f - 1's alphas (alpha seeding; DeCoste & Wagstaff, KDD 2000), with
+    sum(alpha * y) = 0 restored by moving the fewest alphas, free ones
+    first, so it takes fewer iterations than a start from zero; the models
+    differ from ``train_smo``'s within the KKT tolerance.  A seeded fold
+    that stops at the pass budget is fitted again by ``train_smo`` once the
+    shared kernel is freed, and that model replaces it if it converged, so
+    a fold never converges less often than ``train_smo`` on its rows.
 
     Every fold's training rows are checked first, in fold order, with
     ``train_smo``'s TrainingError messages; a kernel matrix or fitted
     decision values that are not finite raise DataFormatError as there.
     """
-    return _fit(dataset, [folds.assignment == f for f in range(folds.k)], kernel, config)
+    return _fit(dataset, [folds.test_mask(f, len(dataset)) for f in range(folds.k)], kernel, config)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises instead
@@ -208,7 +210,8 @@ def _fit(dataset, held_out, kernel, config):
     alpha, models, seeded = np.zeros(len(dataset)), [], []
     for test in held_out:
         rows = ~test
-        _seed(alpha, y, test, config.C)
+        alpha[test] = 0.0
+        _restore_equality(alpha, y, config.C, rows)
         seeded.append(alpha.any())
         alpha, stop, iterations = _smo(K, y, alpha, K @ (alpha * y), rows, config)
         models.append(_finish(K, y, alpha, rows, stop, iterations, dataset, kernel, config))
@@ -235,22 +238,6 @@ def _require_trainable(labels):
 def _snap_width(C):
     """An alpha within this of 0 or C is set to 0 or C."""
     return 1e-10 * max(1.0, C)
-
-
-def _seed(alpha, y, held_out, C):
-    """Make a previous fold's ``alpha`` a feasible start in place: zero the
-    rows ``held_out``, scale down the class with the larger sum of alphas so
-    that sum(alpha * y) = 0, and snap."""
-    alpha[held_out] = 0.0
-    up = y > 0
-    pos, neg = alpha[up].sum(), alpha[~up].sum()
-    if pos > neg:
-        alpha[up] *= neg / pos
-    elif neg > pos:
-        alpha[~up] *= pos / neg
-    snap = _snap_width(C)
-    alpha[alpha < snap] = 0.0
-    alpha[alpha > C - snap] = C
 
 
 def _smo(K, y, alpha, g, rows, config):
@@ -323,14 +310,15 @@ def _finish(K, y, alpha, rows, stop, iterations, dataset, kernel, config):
     """The model of a finished SMO loop: restore sum(alpha * y) = 0, fit the
     bias and audit the KKT conditions on the rows where ``rows`` is true."""
     C, tol = config.C, config.kkt_tol
-    _repair_equality(alpha, y, C)  # every other row has alpha 0, so is not free
+    _restore_equality(alpha, y, C, (alpha > 0) & (alpha < C))  # the free training rows
     g = K @ (alpha * y)
     a, t, g = alpha[rows], y[rows], g[rows]
     b = _fit_bias(a, t, g, C)
     f = g + b
     _require_finite(f, dataset, kernel)
     worst = _worst_violation(a, t, f, C)
-    return _package(dataset.features, alpha, y, b, kernel, C,
+    keep = alpha > 0
+    return SvmModel(dataset.features[keep], alpha[keep], y[keep], b, kernel, float(C),
                     stop == "gap reached" and worst <= tol, worst, stop, iterations)
 
 
@@ -354,19 +342,22 @@ def _index_sets(alpha, y, C):
     return up, low
 
 
-def _repair_equality(alpha, y, C):
-    """Absorb accumulated floating-point drift of sum(alpha * y) into the
-    free coefficient with the most room."""
+def _restore_equality(alpha, y, C, rows):
+    """Move the alphas of ``rows`` in place until sum(alpha * y) = 0: free ones
+    first, most room first, then the rest in index order, each within [0, C]
+    and snapped to a bound within the snap width, until one takes it all."""
     residual = float(alpha @ y)
-    if residual == 0.0:
-        return
-    free = np.flatnonzero((alpha > 0) & (alpha < C))
-    order = free[np.argsort(-np.minimum(alpha[free], C - alpha[free]))]
-    for i in order:
-        candidate = alpha[i] - y[i] * residual
-        if 0.0 <= candidate <= C:
-            alpha[i] = candidate
+    free = rows & (alpha > 0) & (alpha < C)
+    order = np.flatnonzero(free)[np.argsort(-np.minimum(alpha, C - alpha)[free], kind="stable")]
+    snap = _snap_width(C)
+    for i in np.concatenate([order, np.flatnonzero(rows & ~free)]).tolist():
+        old, yi = alpha.item(i), y.item(i)
+        candidate = old - yi * residual
+        new = min(max(candidate, 0.0), C)
+        alpha[i] = 0.0 if new < snap else C if new > C - snap else new
+        if new == candidate:
             return
+        residual += yi * (new - old)
 
 
 def _fit_bias(alpha, y, g, C):
@@ -388,12 +379,6 @@ def _worst_violation(alpha, y, f, C):
         [alpha <= 0, alpha >= C], [1.0 - yf, yf - 1.0], np.abs(yf - 1.0)
     )
     return float(violation.max(initial=0.0))  # NaN stays NaN
-
-
-def _package(X, alpha, y, b, kernel, C, converged, worst, stop, iterations):
-    keep = alpha > 0
-    return SvmModel(X[keep], alpha[keep], y[keep], float(b), kernel, float(C),
-                    bool(converged), float(worst), stop, iterations)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises instead

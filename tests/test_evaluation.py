@@ -301,6 +301,12 @@ def test_cross_validate_rejects_an_assignment_of_another_length(market_data):
         ev.cross_validate(market_data, nb.train_folds, nb.predict_proba, short)
 
 
+@pytest.mark.parametrize("train_folds", [nb.train_folds, svm.train_folds], ids=["nb", "svm"])
+def test_fold_trainers_reject_an_assignment_of_another_length(train_folds, market_data):
+    with pytest.raises(DataFormatError, match="29 fold indices for 30 rows"):
+        train_folds(market_data, ds.FoldAssignment(3, np.arange(29) % 3))
+
+
 # ------------------------------------------------------------------- rendering
 def test_render_text_layout(market_data):
     report = ev.cross_validate(market_data, nb.train_folds, nb.predict_proba,
