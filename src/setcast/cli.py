@@ -24,9 +24,6 @@ import math
 import os
 import sys
 from functools import partial
-from importlib import resources
-
-import numpy as np
 
 from . import dataset as ds
 from .errors import DataFormatError, TrainingError
@@ -43,7 +40,7 @@ def default_data_path() -> str:
     override = os.environ.get(DATA_DIR_ENV)
     if override:
         return os.path.join(override, DEFAULT_DATA_FILE)
-    return str(resources.files("setcast").joinpath("data", DEFAULT_DATA_FILE))
+    return os.path.join(os.path.dirname(__file__), "data", DEFAULT_DATA_FILE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,9 +182,9 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
-    data = ds.load_samples(_data_path(args))
     if not args.output:
         raise DataFormatError("train requires --output for the model file")
+    data = ds.load_samples(_data_path(args))
     module, train, _, _ = _model(args, args.model)
     model = train(data)
     module.save_model(model, args.output)
@@ -210,7 +207,7 @@ def cmd_predict(args) -> int:
     with _output(args.output) as fh:
         fh.write("PREDICTED," + ",".join(f"P_{c}" for c in labels) + "\n")
         ds.write_rows(fh, [c + ",%.17g" * len(labels) + "\n" for c in labels],
-                      dist, np.argmax(dist, axis=1))
+                      dist, dist.argmax(axis=1))
     return 0
 
 

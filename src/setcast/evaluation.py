@@ -120,16 +120,6 @@ def absolute_errors(actual_idx, dist):
     return abs_sum / diff.size, math.sqrt(sq_sum / diff.size)
 
 
-def relative_errors(actual_idx, dist, baseline):
-    """(RAE %, RRSE %) against per-row baseline distributions."""
-    actual_idx, baseline = _checked(actual_idx, baseline)
-    mae, rmse = absolute_errors(actual_idx, dist)
-    base_mae, base_rmse = absolute_errors(actual_idx, baseline)
-    if base_mae == 0 or base_rmse == 0:
-        raise DataFormatError("baseline predictor has zero error")
-    return 100.0 * mae / base_mae, 100.0 * rmse / base_rmse
-
-
 def roc_area(actual_idx, dist, class_index: int) -> float:
     """Mann-Whitney area under the ROC curve for one class, ties half credit.
 
@@ -153,8 +143,9 @@ def evaluate(actual_idx, dist, baseline=None, *, fold_digest=None) -> Evaluation
 
     ``actual_idx`` (n,) holds each row's actual class as an index into
     CLASS_LABELS; ``dist`` (n, 2) the predicted distributions, and
-    ``baseline`` (n, 2), when given, the baseline predictor's distributions
-    for the relative errors.  Malformed input raises DataFormatError.
+    ``baseline`` (n, 2), when given, the baseline predictor's distributions:
+    RAE and RRSE are MAE and RMSE in percent of the baseline's.  Malformed
+    input, or a baseline with zero error, raises DataFormatError.
     """
     actual_idx, dist = _checked(actual_idx, dist)
     matrix = confusion_matrix(actual_idx, dist)
@@ -166,7 +157,10 @@ def evaluate(actual_idx, dist, baseline=None, *, fold_digest=None) -> Evaluation
     assert mae <= rmse + 1e-12 and rmse <= math.sqrt(mae) + 1e-12
     rae = rrse = None
     if baseline is not None:
-        rae, rrse = relative_errors(actual_idx, dist, baseline)
+        base_mae, base_rmse = absolute_errors(*_checked(actual_idx, baseline))
+        if base_mae == 0 or base_rmse == 0:
+            raise DataFormatError("baseline predictor has zero error")
+        rae, rrse = 100.0 * mae / base_mae, 100.0 * rmse / base_rmse
 
     warnings = []
     per_class = []

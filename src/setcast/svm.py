@@ -209,12 +209,11 @@ def _fit(dataset, held_out, kernel, config):
     _require_finite(K, dataset, kernel)
     alpha, models, seeded = np.zeros(len(dataset)), [], []
     for test in held_out:
-        rows = ~test
         alpha[test] = 0.0
-        _restore_equality(alpha, y, config.C, rows)
+        _restore_equality(alpha, y, config.C, ~test)
         seeded.append(alpha.any())
-        alpha, stop, iterations = _smo(K, y, alpha, K @ (alpha * y), rows, config)
-        models.append(_finish(K, y, alpha, rows, stop, iterations, dataset, kernel, config))
+        model, alpha = _solve(K, y, alpha, ~test, dataset, kernel, config)
+        models.append(model)
     del K  # a refit below builds its own, smaller kernel matrix
     for f, test in enumerate(held_out):
         if seeded[f] and models[f].stop == "pass budget":
@@ -240,13 +239,16 @@ def _snap_width(C):
     return 1e-10 * max(1.0, C)
 
 
-def _smo(K, y, alpha, g, rows, config):
-    """The SMO loop from ``alpha``, where g = K @ (alpha * y), over the rows
-    where ``rows`` is true; every other row has alpha 0 and never enters a
-    working pair.  Returns the final alphas, the exit that ended the loop and
-    the number of updates applied, at most ``max_passes`` per row."""
+def _solve(K, y, alpha, rows, dataset, kernel, config):
+    """Fit the model on the rows where ``rows`` is true, by the SMO loop from
+    ``alpha``; every other row has alpha 0 and never enters a working pair.
+    The loop applies at most ``max_passes`` updates per row.  Then
+    sum(alpha * y) = 0 is restored on the free rows, the bias fitted and the
+    KKT conditions audited on the training rows.  Returns the model and the
+    final alphas over all rows."""
     n = len(y)
     C, tol = config.C, config.kkt_tol
+    g = K @ (alpha * y)
     up, low = _index_sets(alpha, y, C)
     y_up = np.where(up & rows, y, -np.inf)
     y_low = np.where(low & rows, y, np.inf)
@@ -303,13 +305,7 @@ def _smo(K, y, alpha, g, rows, config):
             y_low[k] = ys[k] if (a[k] > 0 if ys[k] > 0 else a[k] < C) else np.inf
     else:
         iterations, stop = budget, "pass budget"
-    return np.array(a), stop, iterations
-
-
-def _finish(K, y, alpha, rows, stop, iterations, dataset, kernel, config):
-    """The model of a finished SMO loop: restore sum(alpha * y) = 0, fit the
-    bias and audit the KKT conditions on the rows where ``rows`` is true."""
-    C, tol = config.C, config.kkt_tol
+    alpha = np.array(a)
     _restore_equality(alpha, y, C, (alpha > 0) & (alpha < C))  # the free training rows
     g = K @ (alpha * y)
     a, t, g = alpha[rows], y[rows], g[rows]
@@ -319,7 +315,7 @@ def _finish(K, y, alpha, rows, stop, iterations, dataset, kernel, config):
     worst = _worst_violation(a, t, f, C)
     keep = alpha > 0
     return SvmModel(dataset.features[keep], alpha[keep], y[keep], b, kernel, float(C),
-                    stop == "gap reached" and worst <= tol, worst, stop, iterations)
+                    stop == "gap reached" and worst <= tol, worst, stop, iterations), alpha
 
 
 def _require_finite(values, dataset, kernel):

@@ -123,6 +123,9 @@ def test_train_writes_model_files(tmp_path):
 def test_train_requires_output(capsys):
     assert run("train", "--model", "nb") == 2
     assert "requires --output" in capsys.readouterr().err
+    # checked before --data is read
+    assert run("train", "--model", "nb", "--data", "/nonexistent.csv") == 2
+    assert "requires --output" in capsys.readouterr().err
 
 
 def test_train_warns_when_pass_budget_hit(tmp_path, capsys):
@@ -517,7 +520,8 @@ def test_non_finite_sample_feature_names_file_and_line(tmp_path, capsys, argv, c
     lines[4] = cell + lines[4][lines[4].index(","):]
     samples = tmp_path / "bad.csv"
     samples.write_text("\n".join(lines) + "\n")
-    assert run(*argv, "--data", str(samples)) == 2
+    # train checks --output before it reads --data
+    assert run(*argv, "--data", str(samples), "--output", str(tmp_path / "out")) == 2
     assert f"error: {samples}:5: non-finite feature value" in capsys.readouterr().err
 
 
@@ -533,16 +537,20 @@ def test_module_entry_point_runs_without_warnings():
 
 def test_model_commands_load_no_rng_masked_arrays_or_openssl(tmp_path):
     """NB train, cv and compare shuffle, fit and fingerprint folds without
-    numpy.random, numpy.ma or hashlib's OpenSSL binding."""
+    numpy.random, numpy.ma or hashlib's OpenSSL binding, and find the bundled
+    fixture without importlib.resources or tempfile.  The child runs under
+    ``python -S``, so no .pth file of site-packages imports them first."""
     root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), os.path.dirname(os.path.dirname(np.__file__))]))
     code = ("import sys; from setcast.cli import main\n"
             f"for argv in (['train', '--model', 'nb', '--output', {str(tmp_path / 'nb')!r}],"
             f" ['cv', '--output', {str(tmp_path / 'cv')!r}],"
             f" ['compare', '--output', {str(tmp_path / 'compare')!r}]):\n"
             "    assert main(argv) == 0\n"
-            "print(sorted({'numpy.random', 'numpy.ma', '_hashlib'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+            "print(sorted({'numpy.random', 'numpy.ma', '_hashlib', 'importlib.resources',"
+            " 'tempfile'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
 

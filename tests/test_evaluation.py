@@ -163,15 +163,15 @@ def test_degenerate_class_warning():
 # ------------------------------------------------------------- relative errors
 def test_relative_errors_of_baseline_are_100_percent():
     actual, dist = _scored((ds.UP, 0.6), (ds.DOWN, 0.6), (ds.UP, 0.4), (ds.DOWN, 0.4))
-    rae, rrse = ev.relative_errors(actual, dist, dist.copy())
-    assert rae == pytest.approx(100.0)
-    assert rrse == pytest.approx(100.0)
+    report = ev.evaluate(actual, dist, dist.copy())
+    assert report.rae == pytest.approx(100.0)
+    assert report.rrse == pytest.approx(100.0)
 
 
 def test_relative_errors_zero_baseline_rejected():
     actual, dist = _scored((ds.UP, 0.7))
-    with pytest.raises(DataFormatError):
-        ev.relative_errors(actual, dist, np.array([[1.0, 0.0]]))
+    with pytest.raises(DataFormatError, match="zero error"):
+        ev.evaluate(actual, dist, np.array([[1.0, 0.0]]))
 
 
 # ------------------------------------------------------------ input contracts

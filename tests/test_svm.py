@@ -545,11 +545,23 @@ def _mixed_scale_problem(seed):
      "snapped back"),
 ], ids=["gap reached", "pass budget", "no move", "snapped back"])
 def test_model_names_the_exit_that_ended_the_loop(data, kernel, C, stop):
-    # "stuck pair" is not reached here: the maximal violating pair always
-    # has room to move in exact arithmetic
+    # "stuck pair" needs rounding that the snap width absorbs, so it is
+    # reached only with the snap switched off, in the test below
     model = svm.train_smo(data(), kernel, svm.TrainerConfig(C=C))
     assert model.stop == stop
     assert model.converged == (stop == "gap reached")
+
+
+@pytest.mark.parametrize("data, kernel, iterations", [
+    (lambda: _overlapping_problem(3, n=80), svm.KernelSpec(svm.RBF, delta_sq=1.0), 47),
+    (lambda: _overlapping_problem(7), svm.KernelSpec(svm.LINEAR), 108),
+], ids=["rbf", "linear"])
+def test_stuck_pair_ends_the_loop_without_the_snap(monkeypatch, data, kernel, iterations):
+    # without the snap, rounding leaves an alpha one ulp below C; paired with
+    # an alpha at C, the pair's interval [lo, hi] rounds to the point C
+    monkeypatch.setattr(svm, "_snap_width", lambda C: 0.0)
+    model = svm.train_smo(data(), kernel, svm.TrainerConfig(C=1.0))
+    assert (model.stop, model.iterations, model.converged) == ("stuck pair", iterations, False)
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
