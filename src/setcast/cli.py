@@ -244,9 +244,18 @@ def cmd_compare(args) -> int:
 
     data = ds.load_samples(_data_path(args))
     folds = _folds(args, data)
-    nb_report, svm_report = (
-        evaluation.cross_validate(data, train_folds, module.predict_proba, folds)
-        for module, _, train_folds, _ in (_model(args, kind) for kind in ("nb", "svm")))
+
+    def report(kind):
+        module, _, train_folds, _ = _model(args, kind)
+        return evaluation.cross_validate(data, train_folds, module.predict_proba, folds)
+
+    # the SVM's kernel matrix is the peak; fitted first, it sits on less heap
+    try:
+        svm_report = report("svm")
+    except (DataFormatError, TrainingError):
+        report("nb")  # naive Bayes' error, if it has one, comes first as before
+        raise
+    nb_report = report("nb")
 
     if args.format == "machine":
         lines = _config_lines(args)

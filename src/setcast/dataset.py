@@ -14,7 +14,8 @@ from __future__ import annotations
 import datetime
 import math
 import zlib
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,33 +41,30 @@ BLOCK_CHARS = 1 << 16
 BLOCK_ROWS = 1024
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(namedtuple("Dataset", "features y attribute_names")):
     """Ordered collection of labeled samples.
 
     ``features`` has shape (n, d); ``y`` is a length-n int8 array of class
     indices into CLASS_LABELS (0 = UP, 1 = DOWN).  Any integer array-like of
     0s and 1s is accepted and stored as int8.  ``attribute_names`` holds one
-    name per feature column.
+    name per feature column.  ``len()`` counts the samples.
     """
 
-    features: np.ndarray
-    y: np.ndarray
-    attribute_names: tuple = ATTRIBUTE_NAMES
+    __slots__ = ()
+    _make = classmethod(tuple.__new__)  # namedtuple's checks len(), which counts rows here
 
-    def __post_init__(self):
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
-        y = np.asarray(self.y)
-        if self.features.ndim != 2 or y.shape != self.features.shape[:1]:
+    def __new__(cls, features, y, attribute_names: tuple = ATTRIBUTE_NAMES):
+        features, y = np.asarray(features, dtype=float), np.asarray(y)
+        if features.ndim != 2 or y.shape != features.shape[:1]:
             raise DataFormatError("features must be (n, d) with one class index per row")
-        if len(self.attribute_names) != self.features.shape[1]:
-            raise DataFormatError(f"{len(self.attribute_names)} attribute names for "
-                                  f"{self.features.shape[1]} feature columns")
-        if not np.isfinite(self.features).all():
+        if len(attribute_names) != features.shape[1]:
+            raise DataFormatError(f"{len(attribute_names)} attribute names for "
+                                  f"{features.shape[1]} feature columns")
+        if not np.isfinite(features).all():
             raise DataFormatError("all feature values must be finite")
         if y.dtype.kind not in "iu" or ((y < 0) | (y >= len(CLASS_LABELS))).any():
             raise DataFormatError(f"y must hold integer indices into {CLASS_LABELS}")
-        object.__setattr__(self, "y", y.astype(np.int8, copy=False))
+        return super().__new__(cls, features, y.astype(np.int8, copy=False), attribute_names)
 
     def __len__(self):
         return self.features.shape[0]
@@ -77,41 +75,42 @@ class Dataset:
 
     def subset(self, rows) -> "Dataset":
         """The rows where the boolean mask ``rows`` is true, or else the rows
-        at the integer indices ``rows``, in their order."""
+        at the integer indices ``rows``, in their order; any other array
+        raises DataFormatError."""
         rows = np.asarray(rows)
-        rows = rows if rows.dtype == bool else rows.astype(int)
+        if rows.size and rows.dtype != bool and rows.dtype.kind not in "iu":
+            raise DataFormatError(f"rows must be a boolean mask or integer indices, "
+                                  f"got {rows.dtype}")
+        rows = rows if rows.dtype == bool else rows.astype(int)  # np.asarray([]) is float
         return Dataset(self.features[rows], self.y[rows], self.attribute_names)
 
 
-@dataclass(frozen=True)
-class RawSeries:
-    """Daily price rows for the seven raw columns; NaN marks a missing value."""
+class RawSeries(namedtuple("RawSeries", "dates values")):
+    """Daily ``dates`` and an (n, len(RAW_COLUMNS)) array of their raw prices,
+    ``values``, in which NaN marks a missing value."""
 
-    dates: tuple
-    values: np.ndarray  # shape (n, len(RAW_COLUMNS))
+    __slots__ = ()
+    _make = classmethod(tuple.__new__)  # as Dataset's
 
     def __len__(self):
         return len(self.dates)
 
 
-@dataclass(frozen=True)
-class FoldAssignment:
+class FoldAssignment(namedtuple("FoldAssignment", "k assignment")):
     """Per-sample fold indices for k-fold cross-validation: ``k`` is an int
     >= 2, not a bool (a NumPy integer is converted), and ``assignment`` a
     1-D array of integers in [0, k); anything else raises DataFormatError."""
 
-    k: int
-    assignment: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        k, assignment = self.k, np.asarray(self.assignment)
+    def __new__(cls, k: int, assignment):
+        assignment = np.asarray(assignment)
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 2:
             raise DataFormatError(f"fold count must be an int >= 2, got {k!r}")
         if (assignment.ndim != 1 or assignment.dtype.kind not in "iu"
                 or ((assignment < 0) | (assignment >= k)).any()):
             raise DataFormatError(f"fold indices must be a 1-D array of integers in [0, {k})")
-        object.__setattr__(self, "k", int(k))
-        object.__setattr__(self, "assignment", assignment)
+        return super().__new__(cls, int(k), assignment)
 
     def test_mask(self, f: int, n: int) -> np.ndarray:
         """Fold f's rows as a mask over ``n`` rows; another n raises DataFormatError."""
@@ -126,8 +125,7 @@ class FoldAssignment:
         return f"{zlib.crc32(raw + self.k.to_bytes(8, 'little')):08x}"
 
 
-@dataclass(frozen=True)
-class CsvFormat:
+class CsvFormat(NamedTuple):
     """A CSV layout for :func:`read_csv`: the accepted headers, where the
     float and text columns sit, and the messages its violations raise.
 
@@ -555,7 +553,7 @@ def stratified_folds(dataset: Dataset, k: int, seed: int) -> FoldAssignment:
     n = len(dataset)
     if not 2 <= k <= n:
         raise DataFormatError(f"fold count must satisfy 2 <= k <= {n}, got {k}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DataFormatError(f"seed must be a non-negative integer, got {seed!r}")
     missing = [c for c, cnt in zip(CLASS_LABELS, dataset.class_counts()) if cnt == 0]
     if missing:

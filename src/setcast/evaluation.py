@@ -17,8 +17,7 @@ compared line-for-line with standard output:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -31,8 +30,7 @@ DIST_TOL = 1e-9
 METRICS = ("tp_rate", "fp_rate", "precision", "recall", "f_measure", "roc_area")
 
 
-@dataclass(frozen=True)
-class PerClassMetrics:
+class PerClassMetrics(NamedTuple):
     label: str
     tp_rate: float
     fp_rate: float
@@ -42,8 +40,7 @@ class PerClassMetrics:
     roc_area: float
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     """Metrics of pooled predictions; per-class rows and the confusion matrix
     follow CLASS_LABELS."""
 
@@ -223,11 +220,9 @@ def cross_validate(dataset: Dataset, train_folds, predict,
     report = evaluate(np.concatenate(actual), np.concatenate(dists),
                       np.concatenate(baselines), fold_digest=folds.digest())
     if hasattr(models[0], "converged"):
-        report = replace(report, svm_folds=tuple(models))
         failed = sum(not m.converged for m in models)
-        if failed:
-            report = replace(report, warnings=report.warnings
-                             + (f"SMO did not converge in {failed} of {len(models)} folds",))
+        warnings = (f"SMO did not converge in {failed} of {len(models)} folds",) if failed else ()
+        report = report._replace(svm_folds=tuple(models), warnings=report.warnings + warnings)
     return report
 
 

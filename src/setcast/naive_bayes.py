@@ -25,7 +25,7 @@ Model files are ``dataset.KeyValueFile`` text; every sigma must be positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,7 @@ SIGMA_FLOOR = 1e-9
 DEFAULT_PRECISION = 0.01
 
 
-@dataclass(frozen=True)
-class NaiveBayesModel:
+class NaiveBayesModel(NamedTuple):
     """Priors (2,) and Gaussian means and deviations (2, d), rows aligned with
     CLASS_LABELS and columns with ``attribute_names``."""
 

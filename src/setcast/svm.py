@@ -36,7 +36,8 @@ not finite raises DataFormatError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,27 +55,26 @@ TAU = 1e-12  #: the curvature a step uses for a pair with eta <= 0 (LIBSVM's tau
 KERNEL_BLOCK_BYTES = 1 << 17
 
 
-@dataclass(frozen=True)
-class KernelSpec:
+class KernelSpec(namedtuple("KernelSpec", "kind degree delta_sq")):
     """Kernel choice: linear x.z, polynomial (x.z + 1)^degree with an int
     degree >= 1, or RBF exp(-||x - z||^2 / delta_sq) with a finite
     delta_sq > 0."""
 
-    kind: str
-    degree: int | None = None
-    delta_sq: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind == LINEAR:
-            ok = self.degree is None and self.delta_sq is None
-        elif self.kind == POLY:
-            ok = isinstance(self.degree, int) and self.degree >= 1 and self.delta_sq is None
-        elif self.kind == RBF:
-            ok = self.degree is None and self.delta_sq is not None and 0 < self.delta_sq < math.inf
+    def __new__(cls, kind: str, degree: int | None = None, delta_sq: float | None = None):
+        self = super().__new__(cls, kind, degree, delta_sq)
+        if kind == LINEAR:
+            ok = degree is None and delta_sq is None
+        elif kind == POLY:
+            ok = isinstance(degree, int) and degree >= 1 and delta_sq is None
+        elif kind == RBF:
+            ok = degree is None and delta_sq is not None and 0 < delta_sq < math.inf
         else:
             ok = False
         if not ok:
             raise DataFormatError(f"invalid kernel spec {self!r}")
+        return self
 
     def describe(self) -> str:
         if self.kind == POLY:
@@ -84,8 +84,7 @@ class KernelSpec:
         return "linear"
 
 
-@dataclass(frozen=True)
-class TrainerConfig:
+class TrainerConfig(namedtuple("TrainerConfig", "C kkt_tol max_passes")):
     """SMO settings.
 
     ``max_passes`` bounds the optimization effort: each pass performs at most
@@ -94,20 +93,19 @@ class TrainerConfig:
     positive; ``max_passes`` is an int >= 1, not a bool.
     """
 
-    C: float = 1.0
-    kkt_tol: float = 1e-3
-    max_passes: int = 100
+    __slots__ = ()
 
-    def __post_init__(self):
-        passes = self.max_passes
+    def __new__(cls, C: float = 1.0, kkt_tol: float = 1e-3, max_passes: int = 100):
+        self = super().__new__(cls, C, kkt_tol, max_passes)
+        passes = max_passes
         if not (isinstance(passes, int) and not isinstance(passes, bool) and passes >= 1):
             raise DataFormatError(f"trainer config max_passes must be an int >= 1, got {passes!r}")
-        if not (0 < self.C < math.inf and 0 < self.kkt_tol < math.inf):
+        if not (0 < C < math.inf and 0 < kkt_tol < math.inf):
             raise DataFormatError(f"invalid trainer config {self!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class SvmModel:
+class SvmModel(NamedTuple):
     """Dual-form model; only support vectors (alpha > 0) are stored.
 
     ``kkt_violation`` is the largest per-sample KKT violation measured on the

@@ -537,9 +537,10 @@ def test_module_entry_point_runs_without_warnings():
 
 def test_model_commands_load_no_rng_masked_arrays_or_openssl(tmp_path):
     """NB train, cv and compare shuffle, fit and fingerprint folds without
-    numpy.random, numpy.ma or hashlib's OpenSSL binding, and find the bundled
-    fixture without importlib.resources or tempfile.  The child runs under
-    ``python -S``, so no .pth file of site-packages imports them first."""
+    numpy.random, numpy.ma or hashlib's OpenSSL binding, build their records
+    without dataclasses, and find the bundled fixture without
+    importlib.resources or tempfile.  The child runs under ``python -S``, so
+    no .pth file of site-packages imports them first."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src"), os.path.dirname(os.path.dirname(np.__file__))]))
@@ -549,7 +550,7 @@ def test_model_commands_load_no_rng_masked_arrays_or_openssl(tmp_path):
             f" ['compare', '--output', {str(tmp_path / 'compare')!r}]):\n"
             "    assert main(argv) == 0\n"
             "print(sorted({'numpy.random', 'numpy.ma', '_hashlib', 'importlib.resources',"
-            " 'tempfile'} & set(sys.modules)))")
+            " 'tempfile', 'dataclasses'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")

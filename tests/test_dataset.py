@@ -192,6 +192,28 @@ def test_subset_by_mask_equals_subset_by_its_indices(market_data, mask):
     assert by_mask.attribute_names == by_index.attribute_names
 
 
+@pytest.mark.parametrize("rows", [np.array([0.7, 1.2]), [1.0], ["0"], [None]])
+def test_subset_refuses_rows_that_are_neither_a_mask_nor_indices(market_data, rows):
+    # float indices used to be truncated: [0.7, 1.2] selected rows 0 and 1
+    with pytest.raises(DataFormatError, match="^rows must be a boolean mask or integer indices"):
+        market_data.subset(rows)
+
+
+def test_subset_of_an_empty_list_selects_no_rows(market_data):
+    part = market_data.subset([])
+    assert part.features.shape == (0, 6) and part.y.shape == (0,)
+
+
+def test_replace_copies_a_record_whose_len_counts_rows(market_data):
+    doubled = market_data._replace(features=market_data.features * 2)
+    assert type(doubled) is ds.Dataset and len(doubled) == len(market_data) == 30
+    np.testing.assert_array_equal(doubled.features, market_data.features * 2)
+    series = _series([1] * 7, [2] * 7, [3] * 7, [4] * 7)
+    shifted = series._replace(values=series.values + 1)
+    assert type(shifted) is ds.RawSeries and len(shifted) == 4
+    assert shifted.dates == series.dates and shifted.values[3, 0] == 5
+
+
 def test_load_samples_missing_file(tmp_path):
     with pytest.raises(OSError):
         ds.load_samples(tmp_path / "nope.csv")
@@ -297,7 +319,7 @@ def test_fold_count_bounds(market_data):
     # a float k used to pass here and break FoldAssignment.digest
     with pytest.raises(DataFormatError, match=r"^fold count must be an int >= 2, got 2\.0$"):
         ds.stratified_folds(market_data, 2.0, 1)
-    for seed in (-1, 1.0, None):
+    for seed in (-1, 1.0, None, True):
         with pytest.raises(DataFormatError, match="seed must be a non-negative integer"):
             ds.stratified_folds(market_data, 10, seed)
 

@@ -2,7 +2,7 @@
 sample, raw-series, feature or model file with cells, lines or bytes
 mutated, exits 0, 2, 3 or 4 with no exception, no traceback and no warning,
 an exit 0 writes no NaN, and an exit 2 names its cause rather than printing
-a kernel or trainer dataclass repr."""
+a kernel or trainer repr."""
 import contextlib
 import io
 import re
@@ -183,6 +183,24 @@ def test_flag_checks_keep_their_order(argv, message, capsys):
     # --seed and --folds before either model's
     assert cli.main(list(argv)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flags, ups, code, message", [
+    ((), 15, 2, "attribute HS, class UP: no finite Gaussian fit"),
+    (("--cost", "-1"), 15, 2, "attribute HS, class UP: no finite Gaussian fit"),
+    (("--cost", "-1"), 1, 4, "class with zero training samples: ['UP']"),
+    ((), 1, 4, "class with zero training samples: ['UP']"),
+], ids=["both-not-finite", "flag-and-nb-not-finite", "flag-and-one-class", "one-class"])
+def test_compare_fails_with_naive_bayes_error_first(tmp_path, flags, ups, code, message, capsys):
+    # compare fits the SVM first, yet an input that naive Bayes rejects fails
+    # with naive Bayes' error, as when naive Bayes was fitted first
+    features = np.random.default_rng(3).normal(size=(30, 6))
+    if ups > 1:
+        features[:2, 1] = (1e308, -1e308)  # both UP; no finite fit of either model
+    path = tmp_path / "samples.csv"
+    ds.save_samples(ds.Dataset(features, [0] * ups + [1] * (30 - ups)), path)
+    assert cli.main(["compare", "--data", str(path), "--folds", "2", *flags]) == code
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_exit_code_table_is_the_documented_contract():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -205,7 +204,7 @@ def test_classify_invariant_under_prior_scaling():
     rng = np.random.default_rng(5)
     data = toy_dataset(rng.normal(size=(5, 3)), rng.normal(1.0, 1.0, size=(6, 3)))
     model = nb.train(data)
-    scaled = dataclasses.replace(model, priors=model.priors * 2.0)
+    scaled = model._replace(priors=model.priors * 2.0)
     for _ in range(20):
         x = rng.normal(size=3)
         np.testing.assert_allclose(

@@ -53,14 +53,18 @@ def test_kernel_spec_validation():
     for delta_sq in (0.0, math.inf, math.nan):
         with pytest.raises(DataFormatError):
             svm.KernelSpec("rbf", delta_sq=delta_sq)
-    with pytest.raises(DataFormatError):
+    with pytest.raises(DataFormatError, match=r"^invalid kernel spec "
+                       r"KernelSpec\(kind='sigmoid', degree=None, delta_sq=None\)$"):
         svm.KernelSpec("sigmoid")
     with pytest.raises(DataFormatError):
         svm.KernelSpec("linear", degree=3)
 
 
 def test_trainer_config_validation():
-    for bad in ({"C": 0.0}, {"C": math.inf}, {"kkt_tol": math.inf}, {"kkt_tol": math.nan}):
+    with pytest.raises(DataFormatError, match=r"^invalid trainer config "
+                       r"TrainerConfig\(C=0\.0, kkt_tol=0\.001, max_passes=100\)$"):
+        svm.TrainerConfig(C=0.0)
+    for bad in ({"C": math.inf}, {"kkt_tol": math.inf}, {"kkt_tol": math.nan}):
         with pytest.raises(DataFormatError):
             svm.TrainerConfig(**bad)
     with pytest.raises(DataFormatError):
