@@ -81,19 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.add_argument("--output", help="prediction CSV to write")
     p_predict.set_defaults(func=cmd_predict)
 
-    p_cv = sub.add_parser("cv", help="stratified k-fold cross-validation")
-    add_common(p_cv)
-    p_cv.add_argument("--folds", type=int, default=10)
-    p_cv.add_argument("--seed", type=int, default=1, help="fold assignment seed")
-    p_cv.add_argument("--format", choices=("text", "machine"), default="text")
-    p_cv.set_defaults(func=cmd_cv)
-
-    p_cmp = sub.add_parser("compare", help="both classifiers on identical folds")
-    add_common(p_cmp, model_flag=False)
-    p_cmp.add_argument("--folds", type=int, default=10)
-    p_cmp.add_argument("--seed", type=int, default=1, help="fold assignment seed")
-    p_cmp.add_argument("--format", choices=("text", "machine"), default="text")
-    p_cmp.set_defaults(func=cmd_compare)
+    for name, help_, func in (("cv", "stratified k-fold cross-validation", cmd_cv),
+                              ("compare", "both classifiers on identical folds", cmd_compare)):
+        p = sub.add_parser(name, help=help_)
+        add_common(p, model_flag=name == "cv")
+        p.add_argument("--folds", type=int, default=10)
+        p.add_argument("--seed", type=int, default=1, help="fold assignment seed")
+        p.add_argument("--format", choices=("text", "machine"), default="text")
+        p.set_defaults(func=func)
     return parser
 
 

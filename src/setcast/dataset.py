@@ -74,14 +74,12 @@ class Dataset(namedtuple("Dataset", "features y attribute_names")):
         return np.bincount(self.y, minlength=len(CLASS_LABELS))
 
     def subset(self, rows) -> "Dataset":
-        """The rows where the boolean mask ``rows`` is true, or else the rows
-        at the integer indices ``rows``, in their order; any other array
-        raises DataFormatError."""
+        """The rows where ``rows``, a boolean mask of len(self) entries, is
+        true; anything else raises DataFormatError."""
         rows = np.asarray(rows)
-        if rows.size and rows.dtype != bool and rows.dtype.kind not in "iu":
-            raise DataFormatError(f"rows must be a boolean mask or integer indices, "
-                                  f"got {rows.dtype}")
-        rows = rows if rows.dtype == bool else rows.astype(int)  # np.asarray([]) is float
+        if rows.dtype != bool or rows.shape != (len(self),):
+            raise DataFormatError(f"rows must be a boolean mask of {len(self)} rows, "
+                                  f"got {rows.dtype} of shape {rows.shape}")
         return Dataset(self.features[rows], self.y[rows], self.attribute_names)
 
 

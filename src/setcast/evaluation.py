@@ -135,6 +135,11 @@ def roc_area(actual_idx, dist, class_index: int) -> float:
     return float((wins + 0.5 * ties) / (pos.size * neg.size))
 
 
+def _ratio(num, den) -> np.ndarray:
+    """num / den elementwise, with 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros(len(num)), where=den > 0)
+
+
 def evaluate(actual_idx, dist, baseline=None, *, fold_digest=None) -> EvaluationReport:
     """Build the full report from pooled predictions.
 
@@ -159,32 +164,22 @@ def evaluate(actual_idx, dist, baseline=None, *, fold_digest=None) -> Evaluation
             raise DataFormatError("baseline predictor has zero error")
         rae, rrse = 100.0 * mae / base_mae, 100.0 * rmse / base_rmse
 
-    warnings = []
-    per_class = []
-    supports = matrix.sum(axis=1)
-    for ci, label in enumerate(CLASS_LABELS):
-        tp = float(matrix[ci, ci])
-        fn = float(supports[ci] - matrix[ci, ci])
-        fp = float(matrix[:, ci].sum() - matrix[ci, ci])
-        tn = float(n - tp - fn - fp)
-        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-        fp_rate = fp / (fp + tn) if fp + tn > 0 else 0.0
-        if tp + fp > 0:
-            precision = tp / (tp + fp)
-        else:
-            precision = 0.0
-            warnings.append(f"class {label} never predicted; precision set to 0")
-        f_measure = (2.0 * precision * recall / (precision + recall)
-                     if precision + recall > 0 else 0.0)
-        per_class.append(PerClassMetrics(label, recall, fp_rate, precision, recall, f_measure,
-                                         roc_area(actual_idx, dist, ci)))
+    tp = np.diag(matrix)
+    supports, predicted = matrix.sum(axis=1), matrix.sum(axis=0)
+    recall, precision = _ratio(tp, supports), _ratio(tp, predicted)
+    f_measure = _ratio(2.0 * precision * recall, precision + recall)
+    rows = np.column_stack([recall, _ratio(predicted - tp, n - supports), precision, recall,
+                            f_measure]).tolist()
+    per_class = tuple(PerClassMetrics(label, *row, roc_area(actual_idx, dist, ci))
+                      for ci, (label, row) in enumerate(zip(CLASS_LABELS, rows)))
+    warnings = tuple(f"class {label} never predicted; precision set to 0"
+                     for label, count in zip(CLASS_LABELS, predicted) if count == 0)
     weights = supports / n
     weighted = PerClassMetrics("weighted", *(
         float(sum(w * getattr(pc, name) for w, pc in zip(weights, per_class)))
         for name in METRICS))
     return EvaluationReport(n, correct, accuracy, kappa_statistic(matrix), mae, rmse, rae,
-                            rrse, matrix, tuple(per_class), weighted, tuple(warnings),
-                            fold_digest)
+                            rrse, matrix, per_class, weighted, warnings, fold_digest)
 
 
 def smoothed_class_distribution(counts) -> np.ndarray:

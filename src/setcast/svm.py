@@ -58,7 +58,7 @@ KERNEL_BLOCK_BYTES = 1 << 17
 class KernelSpec(namedtuple("KernelSpec", "kind degree delta_sq")):
     """Kernel choice: linear x.z, polynomial (x.z + 1)^degree with an int
     degree >= 1, or RBF exp(-||x - z||^2 / delta_sq) with a finite
-    delta_sq > 0."""
+    delta_sq > 0; neither is a bool."""
 
     __slots__ = ()
 
@@ -72,7 +72,7 @@ class KernelSpec(namedtuple("KernelSpec", "kind degree delta_sq")):
             ok = degree is None and delta_sq is not None and 0 < delta_sq < math.inf
         else:
             ok = False
-        if not ok:
+        if not ok or isinstance(degree, bool) or isinstance(delta_sq, bool):
             raise DataFormatError(f"invalid kernel spec {self!r}")
         return self
 
@@ -90,7 +90,7 @@ class TrainerConfig(namedtuple("TrainerConfig", "C kkt_tol max_passes")):
     ``max_passes`` bounds the optimization effort: each pass performs at most
     n two-variable updates, and the solver stops early once the largest KKT
     violation falls within ``kkt_tol``.  ``C`` and ``kkt_tol`` are finite and
-    positive; ``max_passes`` is an int >= 1, not a bool.
+    positive, and ``max_passes`` is an int >= 1; none is a bool.
     """
 
     __slots__ = ()
@@ -100,7 +100,8 @@ class TrainerConfig(namedtuple("TrainerConfig", "C kkt_tol max_passes")):
         passes = max_passes
         if not (isinstance(passes, int) and not isinstance(passes, bool) and passes >= 1):
             raise DataFormatError(f"trainer config max_passes must be an int >= 1, got {passes!r}")
-        if not (0 < C < math.inf and 0 < kkt_tol < math.inf):
+        if (isinstance(C, bool) or isinstance(kkt_tol, bool)
+                or not (0 < C < math.inf and 0 < kkt_tol < math.inf)):
             raise DataFormatError(f"invalid trainer config {self!r}")
         return self
 

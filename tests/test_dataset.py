@@ -172,7 +172,7 @@ def test_dataset_holds_class_indices_as_int8():
     data = ds.Dataset(np.zeros((3, 1)), np.array([1, 0, 1], dtype=np.int64), ("x",))
     assert data.y.dtype == np.int8 and data.y.tolist() == [1, 0, 1]
     assert data.class_counts().tolist() == [1, 2]
-    assert data.subset([2, 0]).y.tolist() == [1, 1]
+    assert data.subset([True, False, True]).y.tolist() == [1, 1]
 
 
 def test_subset_selects_the_rows_of_a_boolean_mask(market_data):
@@ -184,23 +184,26 @@ def test_subset_selects_the_rows_of_a_boolean_mask(market_data):
 
 
 @given(st.lists(st.booleans(), min_size=30, max_size=30))
-def test_subset_by_mask_equals_subset_by_its_indices(market_data, mask):
-    by_mask = market_data.subset(np.array(mask))
-    by_index = market_data.subset(np.flatnonzero(mask))
-    assert by_mask.features.tobytes() == by_index.features.tobytes()
-    assert by_mask.y.tobytes() == by_index.y.tobytes()
-    assert by_mask.attribute_names == by_index.attribute_names
+def test_subset_by_mask_equals_indexing_by_it(market_data, mask):
+    mask = np.array(mask)
+    part = market_data.subset(mask)
+    assert part.features.tobytes() == market_data.features[mask].tobytes()
+    assert part.y.tobytes() == market_data.y[mask].tobytes()
+    assert part.attribute_names == market_data.attribute_names
 
 
-@pytest.mark.parametrize("rows", [np.array([0.7, 1.2]), [1.0], ["0"], [None]])
-def test_subset_refuses_rows_that_are_neither_a_mask_nor_indices(market_data, rows):
-    # float indices used to be truncated: [0.7, 1.2] selected rows 0 and 1
-    with pytest.raises(DataFormatError, match="^rows must be a boolean mask or integer indices"):
+@pytest.mark.parametrize("rows", [[2, 0], np.flatnonzero(np.arange(30) % 3 == 0), [],
+                                  [0.7, 1.2], ["0"], [None], np.ones(29, dtype=bool),
+                                  np.ones(31, dtype=bool)],
+                         ids=["indices", "mask-indices", "empty", "floats", "strings", "none",
+                              "mask-29", "mask-31"])
+def test_subset_refuses_anything_but_a_mask_of_its_rows(market_data, rows):
+    with pytest.raises(DataFormatError, match=r"^rows must be a boolean mask of 30 rows, got "):
         market_data.subset(rows)
 
 
-def test_subset_of_an_empty_list_selects_no_rows(market_data):
-    part = market_data.subset([])
+def test_subset_of_an_all_false_mask_selects_no_rows(market_data):
+    part = market_data.subset(np.zeros(len(market_data), dtype=bool))
     assert part.features.shape == (0, 6) and part.y.shape == (0,)
 
 

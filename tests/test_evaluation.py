@@ -4,7 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setcast import dataset as ds
@@ -89,6 +89,51 @@ def test_error_metric_ordering(records):
     mae, rmse = ev.absolute_errors(*records)
     assert mae <= rmse + 1e-12
     assert rmse <= math.sqrt(mae) + 1e-12
+
+
+def _per_class_loop(actual_idx, dist):
+    """evaluate's per-class table computed one class at a time, the reference
+    for its array pass: (per_class, weighted, warnings)."""
+    matrix = ev.confusion_matrix(actual_idx, dist)
+    n = int(matrix.sum())
+    warnings = []
+    per_class = []
+    supports = matrix.sum(axis=1)
+    for ci, label in enumerate(ds.CLASS_LABELS):
+        tp = float(matrix[ci, ci])
+        fn = float(supports[ci] - matrix[ci, ci])
+        fp = float(matrix[:, ci].sum() - matrix[ci, ci])
+        tn = float(n - tp - fn - fp)
+        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+        fp_rate = fp / (fp + tn) if fp + tn > 0 else 0.0
+        if tp + fp > 0:
+            precision = tp / (tp + fp)
+        else:
+            precision = 0.0
+            warnings.append(f"class {label} never predicted; precision set to 0")
+        f_measure = (2.0 * precision * recall / (precision + recall)
+                     if precision + recall > 0 else 0.0)
+        per_class.append(ev.PerClassMetrics(label, recall, fp_rate, precision, recall,
+                                            f_measure, ev.roc_area(actual_idx, dist, ci)))
+    weights = supports / n
+    weighted = ev.PerClassMetrics("weighted", *(
+        float(sum(w * getattr(pc, name) for w, pc in zip(weights, per_class)))
+        for name in ev.METRICS))
+    return tuple(per_class), weighted, tuple(warnings)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(confusion_2x2().map(records_from_matrix), probabilistic_records()))
+@example(records_from_matrix([[5, 0], [3, 0]]))  # DOWN never predicted
+@example(records_from_matrix([[0, 0], [4, 2]]))  # no UP row
+@example(records_from_matrix([[0, 7], [0, 0]]))  # one class in each
+def test_per_class_table_matches_the_per_class_loop(records):
+    # hard records of matrices with empty rows and columns, and soft ones
+    report = ev.evaluate(*records)
+    got = (report.per_class, report.weighted, report.warnings)
+    expected = _per_class_loop(*records)
+    assert got == expected
+    assert repr(got) == repr(expected)  # also tells -0.0 from 0.0, np.float64 from float
 
 
 def test_absolute_errors_match_per_row_loop():

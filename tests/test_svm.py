@@ -58,6 +58,9 @@ def test_kernel_spec_validation():
         svm.KernelSpec("sigmoid")
     with pytest.raises(DataFormatError):
         svm.KernelSpec("linear", degree=3)
+    for kind, bad in (("poly", {"degree": True}), ("rbf", {"delta_sq": True})):
+        with pytest.raises(DataFormatError, match=r"^invalid kernel spec KernelSpec\("):
+            svm.KernelSpec(kind, **bad)
 
 
 def test_trainer_config_validation():
@@ -69,6 +72,9 @@ def test_trainer_config_validation():
             svm.TrainerConfig(**bad)
     with pytest.raises(DataFormatError):
         svm.TrainerConfig(max_passes=0)
+    for bad in ({"C": True}, {"kkt_tol": True}):
+        with pytest.raises(DataFormatError, match=r"^invalid trainer config TrainerConfig\("):
+            svm.TrainerConfig(**bad)
 
 
 @pytest.mark.parametrize("max_passes", [1.5, True, 2.0, "3", None])
