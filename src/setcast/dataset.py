@@ -549,19 +549,18 @@ def stratified_folds(dataset: Dataset, k: int, seed: int) -> FoldAssignment:
     ``seed`` is a non-negative integer.
     """
     n = len(dataset)
-    if not 2 <= k <= n:
+    if isinstance(k, (int, np.integer)) and not 2 <= k <= n:  # else FoldAssignment refuses k
         raise DataFormatError(f"fold count must satisfy 2 <= k <= {n}, got {k}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DataFormatError(f"seed must be a non-negative integer, got {seed!r}")
     missing = [c for c, cnt in zip(CLASS_LABELS, dataset.class_counts()) if cnt == 0]
     if missing:
         raise DataFormatError(f"class with zero samples: {missing}")
-    draws = _pcg64_draws(int(seed))
-    assignment = np.empty(n, dtype=int)
-    pointer = 0
+    folds = FoldAssignment(k, np.zeros(n, dtype=int))  # filled in place below
+    draws, pointer = _pcg64_draws(int(seed)), 0
     for ci in range(len(CLASS_LABELS)):
         idx = np.flatnonzero(dataset.y == ci)
         _shuffle(idx, draws)
-        assignment[idx] = (pointer + np.arange(len(idx))) % k
+        folds.assignment[idx] = (pointer + np.arange(len(idx))) % folds.k
         pointer += len(idx)
-    return FoldAssignment(k, assignment)
+    return folds

@@ -1,6 +1,7 @@
 """Naive Bayes classifier: frequency or uniform priors and one Gaussian per
 (class, attribute), for continuous attributes such as daily percent changes.
-A model is two priors and two (2, d) arrays, ``mu`` and ``sigma``.
+A model is two priors and two (2, d) arrays, ``mu`` and ``sigma``;
+:func:`train` fits every (class, attribute) Gaussian in one array pass.
 
 The Gaussians are fitted with one of two estimators:
 
@@ -90,25 +91,21 @@ def train(dataset: Dataset, *, priors: str = "frequency",
     prior_vec = estimate_priors(dataset)  # raises for a class without samples
     if priors == "uniform":
         prior_vec = np.full(len(CLASS_LABELS), 1.0 / len(CLASS_LABELS))
-
-    masks = [dataset.y == ci for ci in range(len(CLASS_LABELS))]
-    mu = np.empty((len(CLASS_LABELS), dataset.features.shape[1]))
-    sigma = np.empty_like(mu)
-    for ai, name in enumerate(dataset.attribute_names):
-        column, floor = dataset.features[:, ai], SIGMA_FLOOR
-        with np.errstate(all="ignore"):  # a non-finite fit is reported below
-            if estimator == "rounded":
-                precision = attribute_precision(column)
-                column = round_to_precision(column, precision)
-                floor = max(SIGMA_FLOOR, precision / 6.0)
-            for ci, mask in enumerate(masks):
-                vals = column[mask]
-                mu[ci, ai], sigma[ci, ai] = vals.mean(), max(vals.std(), floor)
-                if not (math.isfinite(mu[ci, ai]) and math.isfinite(sigma[ci, ai])):
-                    raise DataFormatError(
-                        f"attribute {name}, class {CLASS_LABELS[ci]}: no finite "
-                        "Gaussian fit; a feature value is too large in magnitude"
-                    )
+    X, floor = dataset.features, SIGMA_FLOOR
+    with np.errstate(all="ignore"):  # a non-finite fit is reported below
+        if estimator == "rounded":
+            precision = np.array([attribute_precision(column) for column in X.T])
+            X = round_to_precision(X, precision)
+            floor = np.maximum(SIGMA_FLOOR, precision / 6.0)
+        # each class's (d, n_c) copy sums an attribute as the 1-D mean and std do
+        blocks = [np.ascontiguousarray(X[dataset.y == ci].T) for ci in range(len(CLASS_LABELS))]
+        mu = np.array([block.mean(axis=1) for block in blocks])
+        sigma = np.maximum([block.std(axis=1) for block in blocks], floor)
+    bad = np.argwhere(~(np.isfinite(mu) & np.isfinite(sigma)).T)  # attribute-major
+    if bad.size:
+        name, label = dataset.attribute_names[bad[0, 0]], CLASS_LABELS[bad[0, 1]]
+        raise DataFormatError(f"attribute {name}, class {label}: no finite Gaussian fit; "
+                              "a feature value is too large in magnitude")
     return NaiveBayesModel(prior_vec, dataset.attribute_names, mu, sigma, estimator)
 
 

@@ -55,10 +55,15 @@ TAU = 1e-12  #: the curvature a step uses for a pair with eta <= 0 (LIBSVM's tau
 KERNEL_BLOCK_BYTES = 1 << 17
 
 
+def _is_number(value, kinds=(int, float, np.integer, np.floating)) -> bool:
+    """Whether ``value`` is one of ``kinds`` (an int or float, NumPy's too) and not a bool."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 class KernelSpec(namedtuple("KernelSpec", "kind degree delta_sq")):
     """Kernel choice: linear x.z, polynomial (x.z + 1)^degree with an int
-    degree >= 1, or RBF exp(-||x - z||^2 / delta_sq) with a finite
-    delta_sq > 0; neither is a bool."""
+    degree >= 1, or RBF exp(-||x - z||^2 / delta_sq) with an int or float
+    0 < delta_sq < inf, as :func:`_is_number` reads them."""
 
     __slots__ = ()
 
@@ -67,14 +72,14 @@ class KernelSpec(namedtuple("KernelSpec", "kind degree delta_sq")):
         if kind == LINEAR:
             ok = degree is None and delta_sq is None
         elif kind == POLY:
-            ok = isinstance(degree, int) and degree >= 1 and delta_sq is None
+            ok = _is_number(degree, (int, np.integer)) and degree >= 1 and delta_sq is None
         elif kind == RBF:
-            ok = degree is None and delta_sq is not None and 0 < delta_sq < math.inf
+            ok = degree is None and _is_number(delta_sq) and 0 < delta_sq < math.inf
         else:
             ok = False
-        if not ok or isinstance(degree, bool) or isinstance(delta_sq, bool):
+        if not ok:
             raise DataFormatError(f"invalid kernel spec {self!r}")
-        return self
+        return self._replace(degree=int(degree)) if kind == POLY else self
 
     def describe(self) -> str:
         if self.kind == POLY:
@@ -89,8 +94,8 @@ class TrainerConfig(namedtuple("TrainerConfig", "C kkt_tol max_passes")):
 
     ``max_passes`` bounds the optimization effort: each pass performs at most
     n two-variable updates, and the solver stops early once the largest KKT
-    violation falls within ``kkt_tol``.  ``C`` and ``kkt_tol`` are finite and
-    positive, and ``max_passes`` is an int >= 1; none is a bool.
+    violation falls within ``kkt_tol``.  ``C`` and ``kkt_tol`` are ints or
+    floats in (0, inf), stored as floats, and ``max_passes`` an int >= 1.
     """
 
     __slots__ = ()
@@ -98,12 +103,11 @@ class TrainerConfig(namedtuple("TrainerConfig", "C kkt_tol max_passes")):
     def __new__(cls, C: float = 1.0, kkt_tol: float = 1e-3, max_passes: int = 100):
         self = super().__new__(cls, C, kkt_tol, max_passes)
         passes = max_passes
-        if not (isinstance(passes, int) and not isinstance(passes, bool) and passes >= 1):
+        if not (_is_number(passes, (int, np.integer)) and passes >= 1):
             raise DataFormatError(f"trainer config max_passes must be an int >= 1, got {passes!r}")
-        if (isinstance(C, bool) or isinstance(kkt_tol, bool)
-                or not (0 < C < math.inf and 0 < kkt_tol < math.inf)):
+        if not all(_is_number(value) and 0 < value < math.inf for value in (C, kkt_tol)):
             raise DataFormatError(f"invalid trainer config {self!r}")
-        return self
+        return self._replace(C=float(C), kkt_tol=float(kkt_tol), max_passes=int(passes))
 
 
 class SvmModel(NamedTuple):

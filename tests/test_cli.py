@@ -120,6 +120,13 @@ def test_train_writes_model_files(tmp_path):
     assert model.kernel == svm.KernelSpec(svm.LINEAR)
 
 
+def test_train_with_uniform_priors_writes_equal_priors(tmp_path):
+    path = tmp_path / "nb.model"
+    assert run("train", "--model", "nb", "--priors", "uniform", "--output", str(path)) == 0
+    lines = path.read_text().splitlines()
+    assert "prior.UP = 0.5" in lines and "prior.DOWN = 0.5" in lines
+
+
 def test_train_requires_output(capsys):
     assert run("train", "--model", "nb") == 2
     assert "requires --output" in capsys.readouterr().err
@@ -365,6 +372,18 @@ def test_cv_machine_output_is_reproducible(tmp_path):
     assert "svm_folds_converged" not in entries
 
 
+def test_cv_uniform_priors_change_the_mean_absolute_error(tmp_path):
+    paths = {priors: tmp_path / f"{priors}.txt" for priors in ("frequency", "uniform")}
+    assert run("cv", "--format", "machine", "--output", str(paths["frequency"])) == 0
+    assert run("cv", "--priors", "uniform", "--format", "machine",
+               "--output", str(paths["uniform"])) == 0
+    maes = {priors: float(dict(line.partition(" = ")[::2]
+                               for line in path.read_text().splitlines())["mae"])
+            for priors, path in paths.items()}
+    assert maes["frequency"] == pytest.approx(0.39971983563414698)
+    assert maes["uniform"] == pytest.approx(0.39962253884447119)
+
+
 def test_cv_text_layout(capsys):
     assert run("cv", "--model", "svm") == 0
     out = capsys.readouterr().out
@@ -479,6 +498,18 @@ def test_compare_machine_report(tmp_path):
         for key in ("accuracy", "kappa", "mae", "rmse", "rae_percent",
                     "rrse_percent", "confusion.UP.DOWN"):
             assert f"{prefix}.{key}" in entries
+
+
+def test_compare_uniform_priors_change_only_naive_bayes_lines(tmp_path):
+    default, uniform = tmp_path / "default.txt", tmp_path / "uniform.txt"
+    assert run("compare", "--format", "machine", "--output", str(default)) == 0
+    assert run("compare", "--priors", "uniform", "--format", "machine",
+               "--output", str(uniform)) == 0
+    before, after = default.read_text().splitlines(), uniform.read_text().splitlines()
+    changed = [a for a, b in zip(before, after, strict=True) if a != b]
+    assert changed and all(line.startswith("nb.") for line in changed)
+    assert [line for line in before if line.startswith("svm.")] == \
+        [line for line in after if line.startswith("svm.")]
 
 
 def test_compare_text_report(capsys):

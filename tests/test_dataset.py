@@ -319,9 +319,11 @@ def test_fold_count_bounds(market_data):
         ds.stratified_folds(market_data, 1, 0)
     with pytest.raises(DataFormatError):
         ds.stratified_folds(market_data, 31, 0)
-    # a float k used to pass here and break FoldAssignment.digest
-    with pytest.raises(DataFormatError, match=r"^fold count must be an int >= 2, got 2\.0$"):
-        ds.stratified_folds(market_data, 2.0, 1)
+    # a float k used to pass here and break FoldAssignment.digest; None and
+    # "3" raised a bare TypeError
+    for k in (2.0, None, "3", 1j):
+        with pytest.raises(DataFormatError, match=rf"^fold count must be an int >= 2, got {k!r}$"):
+            ds.stratified_folds(market_data, k, 1)
     for seed in (-1, 1.0, None, True):
         with pytest.raises(DataFormatError, match="seed must be a non-negative integer"):
             ds.stratified_folds(market_data, 10, seed)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from setcast import dataset as ds
 from setcast import naive_bayes as nb
@@ -99,6 +100,68 @@ def test_rounded_estimator_matches_independent_recomputation(market_data):
             sigma = max(rounded.std(), precision / 6)
             assert model.mu[ci, ai] == pytest.approx(mu, abs=1e-12)
             assert model.sigma[ci, ai] == pytest.approx(sigma, abs=1e-12)
+
+
+def _reference_train(dataset, priors="frequency", estimator="rounded"):
+    """``nb.train`` as one loop over (attribute, class) cells, each fitted
+    from 1-D mean and std calls with its own finite check: the reference for
+    the array fit."""
+    prior_vec = nb.estimate_priors(dataset)
+    if priors == "uniform":
+        prior_vec = np.full(len(ds.CLASS_LABELS), 1.0 / len(ds.CLASS_LABELS))
+    masks = [dataset.y == ci for ci in range(len(ds.CLASS_LABELS))]
+    mu = np.empty((len(ds.CLASS_LABELS), dataset.features.shape[1]))
+    sigma = np.empty_like(mu)
+    for ai, name in enumerate(dataset.attribute_names):
+        column, floor = dataset.features[:, ai], nb.SIGMA_FLOOR
+        with np.errstate(all="ignore"):
+            if estimator == "rounded":
+                precision = nb.attribute_precision(column)
+                column = nb.round_to_precision(column, precision)
+                floor = max(nb.SIGMA_FLOOR, precision / 6.0)
+            for ci, mask in enumerate(masks):
+                vals = column[mask]
+                mu[ci, ai], sigma[ci, ai] = vals.mean(), max(vals.std(), floor)
+                if not (math.isfinite(mu[ci, ai]) and math.isfinite(sigma[ci, ai])):
+                    raise DataFormatError(
+                        f"attribute {name}, class {ds.CLASS_LABELS[ci]}: no finite "
+                        "Gaussian fit; a feature value is too large in magnitude"
+                    )
+    return nb.NaiveBayesModel(prior_vec, dataset.attribute_names, mu, sigma, estimator)
+
+
+@st.composite
+def gaussian_training_sets(draw):
+    """Both classes with 1-30 rows each, 1-6 columns each at a scale from
+    1e-3 to 1e3 or at 1e300 (whose variance overflows), values rounded to
+    0-4 decimals, and some columns constant."""
+    n_up, n_down = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    d = draw(st.integers(1, 6))
+    X = draw(hnp.arrays(float, (n_up + n_down, d), elements=st.floats(-4, 4)))
+    scales = draw(st.lists(st.sampled_from([1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3, 1e300]),
+                           min_size=d, max_size=d))
+    X = np.round(X * scales, draw(st.integers(0, 4)))
+    constant = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    X[:, constant] = X[0, constant]
+    y = draw(st.permutations([0] * n_up + [1] * n_down))
+    return ds.Dataset(X, np.array(y), tuple(f"a{i}" for i in range(d)))
+
+
+def _fit_outcome(fit, data, priors, estimator):
+    """The fitted priors, mu and sigma as bytes, or the error type and message."""
+    try:
+        model = fit(data, priors=priors, estimator=estimator)
+    except (DataFormatError, TrainingError) as error:
+        return type(error), str(error)
+    return tuple(a.tobytes() for a in (model.priors, model.mu, model.sigma))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gaussian_training_sets(), st.sampled_from(["frequency", "uniform"]),
+       st.sampled_from(["rounded", "plain"]))
+def test_train_matches_the_per_cell_reference_bit_for_bit(data, priors, estimator):
+    assert (_fit_outcome(nb.train, data, priors, estimator)
+            == _fit_outcome(_reference_train, data, priors, estimator))
 
 
 def test_fixture_headline_parameters(market_data):

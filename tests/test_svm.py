@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,7 +60,9 @@ def test_kernel_spec_validation():
         svm.KernelSpec("sigmoid")
     with pytest.raises(DataFormatError):
         svm.KernelSpec("linear", degree=3)
-    for kind, bad in (("poly", {"degree": True}), ("rbf", {"delta_sq": True})):
+    for kind, bad in (("poly", {"degree": True}), ("rbf", {"delta_sq": True}),
+                      ("rbf", {"delta_sq": "1"}), ("rbf", {"delta_sq": 1j}),
+                      ("rbf", {"delta_sq": Decimal("1")}), ("rbf", {"delta_sq": np.True_})):
         with pytest.raises(DataFormatError, match=r"^invalid kernel spec KernelSpec\("):
             svm.KernelSpec(kind, **bad)
 
@@ -72,7 +76,8 @@ def test_trainer_config_validation():
             svm.TrainerConfig(**bad)
     with pytest.raises(DataFormatError):
         svm.TrainerConfig(max_passes=0)
-    for bad in ({"C": True}, {"kkt_tol": True}):
+    for bad in ({"C": True}, {"kkt_tol": True}, {"C": "1"}, {"C": None}, {"kkt_tol": None},
+                {"C": Decimal("1")}, {"C": Fraction(1, 2)}):
         with pytest.raises(DataFormatError, match=r"^invalid trainer config TrainerConfig\("):
             svm.TrainerConfig(**bad)
 
@@ -83,6 +88,51 @@ def test_trainer_config_requires_an_int_pass_count(max_passes):
     # True ran as one pass
     with pytest.raises(DataFormatError, match="max_passes"):
         svm.TrainerConfig(max_passes=max_passes)
+
+
+#: Setting values of every kind a library caller might pass: None, bools,
+#: ints, floats with NaN and +-inf, strings, complex numbers, Decimals,
+#: Fractions and NumPy scalars.
+SETTING_VALUES = st.one_of(
+    st.none(), st.booleans(), st.sampled_from([np.True_, np.False_]), st.integers(),
+    st.floats(), st.text(max_size=4), st.complex_numbers(), st.decimals(), st.fractions(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SETTING_VALUES)
+def test_every_setting_is_a_record_or_a_data_format_error(market_data, value):
+    calls = [
+        lambda: svm.KernelSpec(value),
+        lambda: svm.KernelSpec(svm.POLY, degree=value),
+        lambda: svm.KernelSpec(svm.RBF, delta_sq=value),
+        lambda: svm.TrainerConfig(C=value),
+        lambda: svm.TrainerConfig(kkt_tol=value),
+        lambda: svm.TrainerConfig(max_passes=value),
+        lambda: ds.stratified_folds(market_data, value, 1),
+        lambda: ds.stratified_folds(market_data, 3, value),
+    ]
+    for call in calls:
+        try:
+            record = call()
+        except DataFormatError:
+            continue
+        if isinstance(record, svm.KernelSpec):
+            assert record.degree is None or type(record.degree) is int
+        elif isinstance(record, svm.TrainerConfig):
+            assert (type(record.C), type(record.kkt_tol), type(record.max_passes)) == \
+                (float, float, int)
+        else:
+            assert isinstance(record, ds.FoldAssignment) and type(record.k) is int
+
+
+def test_numpy_integer_degree_and_pass_count_are_ints():
+    spec = svm.KernelSpec(svm.POLY, degree=np.int64(2))
+    assert spec == svm.KernelSpec(svm.POLY, degree=2) and type(spec.degree) is int
+    config = svm.TrainerConfig(max_passes=np.int64(5))
+    assert config == svm.TrainerConfig(max_passes=5) and type(config.max_passes) is int
 
 
 @st.composite
