@@ -149,10 +149,7 @@ def _model(args, kind):
         return (module, partial(module.train, priors=args.priors),
                 partial(module.train_folds, priors=args.priors), "nb")
     kernel = module.KernelSpec(
-        args.kernel,
-        degree=_positive(args, "degree") if args.kernel == module.POLY else None,
-        delta_sq=_positive(args, "delta_sq") if args.kernel == module.RBF else None,
-    )
+        args.kernel, **{n: _positive(args, n) for n in module.KERNEL_SETTINGS[args.kernel]})
     config = module.TrainerConfig(C=_positive(args, "cost"), kkt_tol=_positive(args, "kkt_tol"),
                                   max_passes=_positive(args, "max_passes"))
     return (module, partial(module.train_smo, kernel=kernel, config=config),

@@ -54,7 +54,10 @@ class Dataset(namedtuple("Dataset", "features y attribute_names")):
     _make = classmethod(tuple.__new__)  # namedtuple's checks len(), which counts rows here
 
     def __new__(cls, features, y, attribute_names: tuple = ATTRIBUTE_NAMES):
-        features, y = np.asarray(features, dtype=float), np.asarray(y)
+        try:
+            features, y = np.asarray(features, dtype=float), np.asarray(y)
+        except (TypeError, ValueError) as exc:  # complex, ragged or non-numeric
+            raise DataFormatError(f"features and y must be numeric arrays: {exc}") from None
         if features.ndim != 2 or y.shape != features.shape[:1]:
             raise DataFormatError("features must be (n, d) with one class index per row")
         if len(attribute_names) != features.shape[1]:

@@ -35,6 +35,7 @@ not finite raises DataFormatError.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from collections import namedtuple
 from typing import NamedTuple
@@ -55,38 +56,39 @@ TAU = 1e-12  #: the curvature a step uses for a pair with eta <= 0 (LIBSVM's tau
 KERNEL_BLOCK_BYTES = 1 << 17
 
 
-def _is_number(value, kinds=(int, float, np.integer, np.floating)) -> bool:
-    """Whether ``value`` is one of ``kinds`` (an int or float, NumPy's too) and not a bool."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
+#: The settings each kernel kind takes, and the type each is stored as.
+KERNEL_SETTINGS = {LINEAR: {}, POLY: {"degree": int}, RBF: {"delta_sq": float}}
+
+
+def _setting(value, kind):
+    """``kind(value)`` for a positive, finite int (or for float, int or float)
+    ``value``, NumPy's included and never a bool; None for anything else."""
+    kinds = (int, np.integer) if kind is int else (int, float, np.integer, np.floating)
+    with contextlib.suppress(OverflowError):  # float() of an int beyond float's range
+        if isinstance(value, kinds) and not isinstance(value, bool) and 0 < kind(value) < math.inf:
+            return kind(value)
+    return None
 
 
 class KernelSpec(namedtuple("KernelSpec", "kind degree delta_sq")):
     """Kernel choice: linear x.z, polynomial (x.z + 1)^degree with an int
-    degree >= 1, or RBF exp(-||x - z||^2 / delta_sq) with an int or float
-    0 < delta_sq < inf, as :func:`_is_number` reads them."""
+    degree >= 1, or RBF exp(-||x - z||^2 / delta_sq) with 0 < delta_sq < inf,
+    stored as a float: the settings KERNEL_SETTINGS lists, as :func:`_setting` reads them."""
 
     __slots__ = ()
 
     def __new__(cls, kind: str, degree: int | None = None, delta_sq: float | None = None):
         self = super().__new__(cls, kind, degree, delta_sq)
-        if kind == LINEAR:
-            ok = degree is None and delta_sq is None
-        elif kind == POLY:
-            ok = _is_number(degree, (int, np.integer)) and degree >= 1 and delta_sq is None
-        elif kind == RBF:
-            ok = degree is None and _is_number(delta_sq) and 0 < delta_sq < math.inf
-        else:
-            ok = False
-        if not ok:
+        settings = KERNEL_SETTINGS.get(kind) if isinstance(kind, str) else None
+        stored = {n: _setting(getattr(self, n), t) for n, t in (settings or {}).items()}
+        extra = [n for n in self._fields[1:] if n not in stored and getattr(self, n) is not None]
+        if settings is None or extra or None in stored.values():
             raise DataFormatError(f"invalid kernel spec {self!r}")
-        return self._replace(degree=int(degree)) if kind == POLY else self
+        return self._replace(**stored)
 
     def describe(self) -> str:
-        if self.kind == POLY:
-            return f"poly degree={self.degree}"
-        if self.kind == RBF:
-            return f"rbf delta_sq={self.delta_sq}"
-        return "linear"
+        settings = KERNEL_SETTINGS[self.kind]
+        return " ".join([self.kind] + [f"{n}={getattr(self, n)}" for n in settings])
 
 
 class TrainerConfig(namedtuple("TrainerConfig", "C kkt_tol max_passes")):
@@ -95,7 +97,8 @@ class TrainerConfig(namedtuple("TrainerConfig", "C kkt_tol max_passes")):
     ``max_passes`` bounds the optimization effort: each pass performs at most
     n two-variable updates, and the solver stops early once the largest KKT
     violation falls within ``kkt_tol``.  ``C`` and ``kkt_tol`` are ints or
-    floats in (0, inf), stored as floats, and ``max_passes`` an int >= 1.
+    floats in (0, inf), stored as floats, and ``max_passes`` an int >= 1, as
+    :func:`_setting` reads them.
     """
 
     __slots__ = ()
@@ -103,11 +106,12 @@ class TrainerConfig(namedtuple("TrainerConfig", "C kkt_tol max_passes")):
     def __new__(cls, C: float = 1.0, kkt_tol: float = 1e-3, max_passes: int = 100):
         self = super().__new__(cls, C, kkt_tol, max_passes)
         passes = max_passes
-        if not (_is_number(passes, (int, np.integer)) and passes >= 1):
+        if (max_passes := _setting(passes, int)) is None:
             raise DataFormatError(f"trainer config max_passes must be an int >= 1, got {passes!r}")
-        if not all(_is_number(value) and 0 < value < math.inf for value in (C, kkt_tol)):
+        C, kkt_tol = _setting(C, float), _setting(kkt_tol, float)
+        if C is None or kkt_tol is None:
             raise DataFormatError(f"invalid trainer config {self!r}")
-        return self._replace(C=float(C), kkt_tol=float(kkt_tol), max_passes=int(passes))
+        return self._replace(C=C, kkt_tol=kkt_tol, max_passes=max_passes)
 
 
 class SvmModel(NamedTuple):
@@ -329,7 +333,8 @@ def _require_finite(values, dataset, kernel):
         ai = int(np.abs(dataset.features).max(axis=0).argmax())
         raise DataFormatError(
             f"attribute {dataset.attribute_names[ai]}: the {kernel.describe()} SVM fit is "
-            "not finite; a feature value is too large in magnitude"
+            f"not finite; a feature value{' or the degree' if kernel.kind == POLY else ''} "
+            "is too large in magnitude"
         )
 
 
@@ -413,12 +418,10 @@ def predict_proba(model: SvmModel, X) -> np.ndarray:
 
 def save_model(model: SvmModel, path) -> None:
     """Serialize as flat ``key = value`` text, round-trip safe to 17 digits."""
-    lines = [f"kernel = {model.kernel.kind}"]
-    if model.kernel.degree is not None:
-        lines.append(f"degree = {model.kernel.degree}")
-    if model.kernel.delta_sq is not None:
-        lines.append(f"delta_sq = {model.kernel.delta_sq:.17g}")
-    lines += [
+    lines = [f"kernel = {model.kernel.kind}"] + [
+        f"{n} = {getattr(model.kernel, n):{'.17g' if t is float else 'd'}}"
+        for n, t in KERNEL_SETTINGS[model.kernel.kind].items()
+    ] + [
         f"C = {model.C:.17g}",
         f"bias = {model.bias:.17g}",
         f"converged = {str(model.converged).lower()}",
@@ -439,12 +442,8 @@ def load_model(source) -> SvmModel:
     missing, malformed or extra entry, a C that is not positive or an alpha
     outside (0, C] raises DataFormatError."""
     f = KeyValueFile.of(source).require("svm", "an SVM")
-    kind = f.choice("kernel", (LINEAR, POLY, RBF))
-    kernel = KernelSpec(
-        kind,
-        degree=f.positive("degree", int) if kind == POLY else None,
-        delta_sq=f.positive("delta_sq") if kind == RBF else None,
-    )
+    kind = f.choice("kernel", tuple(KERNEL_SETTINGS))
+    kernel = KernelSpec(kind, **{n: f.positive(n, t) for n, t in KERNEL_SETTINGS[kind].items()})
     C, bias = f.positive("C"), f.number("bias")
     converged = f.choice("converged", ("true", "false")) == "true"
     kkt_violation = f.number("kkt_violation")

@@ -1,3 +1,4 @@
+import argparse
 import os
 import shutil
 import subprocess
@@ -321,6 +322,26 @@ def test_training_feature_beyond_float_range_exits_2(tmp_path, capsys, argv, val
     err = capsys.readouterr().err
     assert "attribute USDTHB" in err
     assert "Traceback" not in err and "Warning" not in err
+
+
+def test_kernel_flags_follow_the_kernel_settings_table():
+    # build_parser names the kernels itself, so that start-up need not import svm
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("train", "cv", "compare"):
+        flags = {a.dest: a for a in sub.choices[command]._actions}
+        assert list(flags["kernel"].choices) == list(svm.KERNEL_SETTINGS)
+        for settings in svm.KERNEL_SETTINGS.values():
+            for name, kind in settings.items():
+                assert f"--{name.replace('_', '-')}" in flags[name].option_strings
+                assert flags[name].type is kind
+
+
+def test_poly_degree_overflow_names_the_degree(capsys):
+    # the bundled features stay below 5 in magnitude; degree 60 fits
+    assert run("cv", "--model", "svm", "--kernel", "poly", "--degree", "300") == 2
+    err = capsys.readouterr().err
+    assert err == ("error: attribute SP500: the poly degree=300 SVM fit is not finite; "
+                   "a feature value or the degree is too large in magnitude\n")
 
 
 @pytest.mark.parametrize("value", ["1e200", "-1e200", "1e300"])

@@ -168,6 +168,16 @@ def test_dataset_rejects_a_non_finite_feature(value):
         ds.Dataset(features, [0, 1, 0], ("a", "b"))
 
 
+@pytest.mark.parametrize("features, y", [
+    ([[1j] * 6], [0]),  # complex
+    ([[1] * 6, [1] * 5], [0, 1]),  # ragged rows
+    ([["a"] * 6], [0]),  # not a number
+], ids=["complex", "ragged", "string"])
+def test_dataset_rejects_features_that_are_not_a_real_array(features, y):
+    with pytest.raises(DataFormatError, match="^features and y must be numeric arrays: "):
+        ds.Dataset(features, y)
+
+
 def test_dataset_holds_class_indices_as_int8():
     data = ds.Dataset(np.zeros((3, 1)), np.array([1, 0, 1], dtype=np.int64), ("x",))
     assert data.y.dtype == np.int8 and data.y.tolist() == [1, 0, 1]

@@ -62,7 +62,11 @@ def test_kernel_spec_validation():
         svm.KernelSpec("linear", degree=3)
     for kind, bad in (("poly", {"degree": True}), ("rbf", {"delta_sq": True}),
                       ("rbf", {"delta_sq": "1"}), ("rbf", {"delta_sq": 1j}),
-                      ("rbf", {"delta_sq": Decimal("1")}), ("rbf", {"delta_sq": np.True_})):
+                      ("rbf", {"delta_sq": Decimal("1")}), ("rbf", {"delta_sq": np.True_}),
+                      ("poly", {"degree": 2, "delta_sq": 1.0}),  # a setting poly does not take
+                      ("rbf", {"degree": 2, "delta_sq": 1.0}),  # nor rbf
+                      ("rbf", {"delta_sq": 10**400}),  # beyond float range
+                      ("rbf", {"delta_sq": np.longdouble("1e400")})):
         with pytest.raises(DataFormatError, match=r"^invalid kernel spec KernelSpec\("):
             svm.KernelSpec(kind, **bad)
 
@@ -77,7 +81,7 @@ def test_trainer_config_validation():
     with pytest.raises(DataFormatError):
         svm.TrainerConfig(max_passes=0)
     for bad in ({"C": True}, {"kkt_tol": True}, {"C": "1"}, {"C": None}, {"kkt_tol": None},
-                {"C": Decimal("1")}, {"C": Fraction(1, 2)}):
+                {"C": Decimal("1")}, {"C": Fraction(1, 2)}, {"C": 10**400}):
         with pytest.raises(DataFormatError, match=r"^invalid trainer config TrainerConfig\("):
             svm.TrainerConfig(**bad)
 
@@ -121,6 +125,7 @@ def test_every_setting_is_a_record_or_a_data_format_error(market_data, value):
             continue
         if isinstance(record, svm.KernelSpec):
             assert record.degree is None or type(record.degree) is int
+            assert record.delta_sq is None or type(record.delta_sq) is float
         elif isinstance(record, svm.TrainerConfig):
             assert (type(record.C), type(record.kkt_tol), type(record.max_passes)) == \
                 (float, float, int)
