@@ -222,15 +222,6 @@ def cmd_cv(args) -> int:
     return 0
 
 
-_COMPARE_ROWS = (
-    ("Accuracy (%)", lambda r: 100 * r.accuracy),
-    ("Mean absolute error", lambda r: r.mae),
-    ("Root mean squared error", lambda r: r.rmse),
-    ("Relative absolute error (%)", lambda r: r.rae),
-    ("Root relative squared error (%)", lambda r: r.rrse),
-)
-
-
 def cmd_compare(args) -> int:
     from . import evaluation
 
@@ -265,10 +256,13 @@ def cmd_compare(args) -> int:
         "",
         f"{'':{width}s}{'naive Bayes':>16s}{'SVM':>16s}",
     ]
-    for name, extract in _COMPARE_ROWS:
-        lines.append(
-            f"{name:{width}s}{extract(nb_report):>16.4f}{extract(svm_report):>16.4f}"
-        )
+    rows = [("Accuracy (%)", "accuracy", 100)] + [
+        (f"{label} ({unit})" if unit else label, field, 1)
+        for field, label, _, unit in evaluation.ERRORS]
+    for name, field, scale in rows:
+        values = [getattr(r, field) for r in (nb_report, svm_report)]
+        if None not in values:
+            lines.append(f"{name:{width}s}" + "".join(f"{scale * v:>16.4f}" for v in values))
     text = "\n".join(lines) + "\n"
     for title, report in (("naive Bayes", nb_report), ("SVM", svm_report)):
         text += f"\n=== {title} ===\n" + evaluation.render_text(report)

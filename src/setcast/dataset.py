@@ -55,6 +55,8 @@ class Dataset(namedtuple("Dataset", "features y attribute_names")):
 
     def __new__(cls, features, y, attribute_names: tuple = ATTRIBUTE_NAMES):
         try:
+            if np.iscomplexobj(features) or np.iscomplexobj(y):  # NumPy would keep the real parts
+                raise TypeError("complex values are not real")
             features, y = np.asarray(features, dtype=float), np.asarray(y)
         except (TypeError, ValueError) as exc:  # complex, ragged or non-numeric
             raise DataFormatError(f"features and y must be numeric arrays: {exc}") from None
@@ -178,11 +180,12 @@ def read_csv(path, fmt: CsvFormat):
     parsed column-wise by NumPy's C text parser, BLOCK_CHARS characters of
     whole lines at a time; a file that parser rejects, or that fails any
     check, is read again row by row, which raises DataFormatError naming the
-    first bad line.  Both paths return the same values.  An undecodable byte
-    anywhere in the file raises DataFormatError naming its offset.
+    first bad line.  Both paths return the same values and skip a leading
+    UTF-8 byte-order mark.  An undecodable byte anywhere in the file raises
+    DataFormatError naming its offset from the file's first byte.
     """
     try:
-        with open(path, newline="\n", encoding="utf-8") as fh:
+        with open(path, newline="\n", encoding="utf-8-sig") as fh:
             parsed = _read_columns(fh, fmt)
         values, keys = parsed or _read_rows(path, fmt)
     except UnicodeDecodeError:  # read whole, so the offset counts from the file's start
@@ -250,7 +253,7 @@ def _read_rows(path, fmt):
     """read_csv row by row, checking each row in file order.  A bad row
     raises only once the rest of the file has decoded, since an undecodable
     byte anywhere outranks it."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             return _checked_rows(path, fh, fmt)
         except DataFormatError:

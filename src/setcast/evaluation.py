@@ -26,8 +26,18 @@ from .errors import DataFormatError
 
 DIST_TOL = 1e-9
 
-#: The fields of PerClassMetrics after its label, in report order.
+#: The fields of PerClassMetrics after its label, in report order, and their
+#: column headers in the text report.
 METRICS = ("tp_rate", "fp_rate", "precision", "recall", "f_measure", "roc_area")
+METRIC_HEADERS = ("TP Rate", "FP Rate", "Precision", "Recall", "F-Measure", "ROC Area")
+
+#: The error summary of every report, one row per metric: the EvaluationReport
+#: field, its text label, its machine key and its unit.  Reports leave out a
+#: row whose field is None.
+ERRORS = (("mae", "Mean absolute error", "mae", ""),
+          ("rmse", "Root mean squared error", "rmse", ""),
+          ("rae", "Relative absolute error", "rae_percent", "%"),
+          ("rrse", "Root relative squared error", "rrse_percent", "%"))
 
 
 class PerClassMetrics(NamedTuple):
@@ -238,23 +248,16 @@ def render_text(report: EvaluationReport) -> str:
         f"{report.incorrect:6d}    {_fmt(100 * (1 - report.accuracy))} %"
     )
     lines.append(f"{'Kappa statistic':{width}s}{_fmt(report.kappa):>10s}")
-    lines.append(f"{'Mean absolute error':{width}s}{_fmt(report.mae):>10s}")
-    lines.append(f"{'Root mean squared error':{width}s}{_fmt(report.rmse):>10s}")
-    if report.rae is not None:
-        lines.append(
-            f"{'Relative absolute error':{width}s}{_fmt(report.rae):>10s} %"
-        )
-        lines.append(
-            f"{'Root relative squared error':{width}s}{_fmt(report.rrse):>10s} %"
-        )
+    lines += [f"{label:{width}s}{_fmt(value):>10s}" + (f" {unit}" if unit else "")
+              for field, label, _, unit in ERRORS
+              if (value := getattr(report, field)) is not None]
     lines.append(f"{'Total number of instances':{width}s}{report.n:6d}")
     if report.fold_digest:
         lines.append(f"{'Fold assignment digest':{width}s}{report.fold_digest:>12s}")
 
     lines.append("")
     lines.append("=== Detailed accuracy by class ===")
-    header = ("TP Rate", "FP Rate", "Precision", "Recall", "F-Measure", "ROC Area")
-    lines.append("".join(f"{h:>11s}" for h in header) + "   Class")
+    lines.append("".join(f"{h:>11s}" for h in METRIC_HEADERS) + "   Class")
     for pc in report.per_class + (report.weighted,):
         label = "Weighted avg." if pc is report.weighted else pc.label
         lines.append("".join(f"{_fmt(getattr(pc, name), 3):>11s}" for name in METRICS)
@@ -281,12 +284,9 @@ def render_machine(report: EvaluationReport) -> str:
         f"incorrect = {report.incorrect}",
         f"accuracy = {report.accuracy:.17g}",
         f"kappa = {report.kappa:.17g}",
-        f"mae = {report.mae:.17g}",
-        f"rmse = {report.rmse:.17g}",
     ]
-    if report.rae is not None:
-        lines.append(f"rae_percent = {report.rae:.17g}")
-        lines.append(f"rrse_percent = {report.rrse:.17g}")
+    lines += [f"{key} = {value:.17g}" for field, _, key, _ in ERRORS
+              if (value := getattr(report, field)) is not None]
     for ci, actual in enumerate(CLASS_LABELS):
         for pi, predicted in enumerate(CLASS_LABELS):
             lines.append(f"confusion.{actual}.{predicted} = {int(report.confusion[ci, pi])}")

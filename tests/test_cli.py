@@ -538,9 +538,20 @@ def test_compare_text_report(capsys):
     out = capsys.readouterr().out
     assert "Model comparison on identical folds" in out
     assert "naive Bayes" in out and "SVM" in out
-    for row in ("Accuracy (%)", "Mean absolute error", "Root mean squared error",
-                "Relative absolute error (%)", "Root relative squared error (%)"):
-        assert row in out
+    # each row of the side-by-side table holds both models' values of one
+    # machine-report key, at four decimals
+    want = {"Accuracy (%)": ("accuracy", 100), "Mean absolute error": ("mae", 1),
+            "Root mean squared error": ("rmse", 1), "Relative absolute error (%)": ("rae_percent", 1),
+            "Root relative squared error (%)": ("rrse_percent", 1)}
+    table = out.split("\n\n")[1].splitlines()
+    assert table[0].split() == ["naive", "Bayes", "SVM"]
+    rows = {line[:34].strip(): line[34:].split() for line in table[1:]}
+    assert list(rows) == list(want)
+    assert run("compare", "--format", "machine") == 0
+    machine = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+    for row, (key, scale) in want.items():
+        assert rows[row] == [f"{scale * float(machine[f'{model}.{key}']):.4f}"
+                             for model in ("nb", "svm")], row
 
 
 @pytest.mark.parametrize("fmt", ["text", "machine"])

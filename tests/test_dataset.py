@@ -1,12 +1,15 @@
+import codecs
 import csv
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from setcast import cli
 from setcast import dataset as ds
 from setcast.errors import DataFormatError
 
@@ -170,9 +173,10 @@ def test_dataset_rejects_a_non_finite_feature(value):
 
 @pytest.mark.parametrize("features, y", [
     ([[1j] * 6], [0]),  # complex
+    (np.full((2, 6), 1 + 2j), [0, 1]),  # a complex array, which NumPy would cast to its real parts
     ([[1] * 6, [1] * 5], [0, 1]),  # ragged rows
     ([["a"] * 6], [0]),  # not a number
-], ids=["complex", "ragged", "string"])
+], ids=["complex", "complex-array", "ragged", "string"])
 def test_dataset_rejects_features_that_are_not_a_real_array(features, y):
     with pytest.raises(DataFormatError, match="^features and y must be numeric arrays: "):
         ds.Dataset(features, y)
@@ -780,6 +784,31 @@ def test_decode_error_is_data_format_error(tmp_path, monkeypatch, block, kind, b
     with pytest.raises(DataFormatError) as got:
         read(path)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("block", [1, ds.BLOCK_CHARS])
+def test_a_byte_order_mark_reads_as_the_file_without_it(five_day_csv, tmp_path, monkeypatch,
+                                                         block):
+    """A UTF-8 byte-order mark, as spreadsheets write before "CSV UTF-8", is
+    not part of the header, on the column path and the row path alike."""
+    monkeypatch.setattr(ds, "BLOCK_CHARS", block)
+    quoted = tmp_path / "quoted.csv"  # a quote sends the file to the row reader
+    quoted.write_text(_S + '\n"1.5",2,3,4,5,6,UP\n1,2,3,4,5,6,DOWN\n')
+    for read, path in ((ds.load_samples, Path(cli.default_data_path())),
+                       (ds.load_raw_series, five_day_csv), (ds.load_samples, quoted)):
+        bom = tmp_path / f"bom-{path.name}"
+        bom.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        want, got = read(path), read(bom)
+        assert [np.asarray(a).tobytes() for a in got] == [np.asarray(a).tobytes() for a in want]
+
+
+@pytest.mark.parametrize("bad_row", ["", '"1",2,3,4,5,6,UP\n'], ids=["columns", "rows"])
+def test_decode_error_after_a_byte_order_mark_counts_it(tmp_path, bad_row):
+    head = _S + "\n" + bad_row + "1,2,3,4,5,6,"
+    path = tmp_path / "data.csv"
+    path.write_bytes(codecs.BOM_UTF8 + head.encode() + b"\xe9\n")
+    with pytest.raises(DataFormatError, match=f"position {len(codecs.BOM_UTF8) + len(head)}:"):
+        ds.load_samples(path)
 
 
 def test_cell_beyond_csv_field_limit_is_data_format_error(tmp_path):
