@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import os
 import sys
 from functools import partial
@@ -112,13 +111,11 @@ def _emit(text: str, output) -> None:
 
 
 def _positive(args, name):
-    """The value of the flag ``--name`` (dashes for underscores), which must
-    be finite and > 0."""
+    """The value of the flag ``--name`` (dashes for underscores), as svm._setting reads it."""
     value, flag = getattr(args, name), name.replace("_", "-")
-    if not value > 0:
-        raise DataFormatError(f"--{flag} must be > 0, got {value!r}")
-    if not math.isfinite(value):
-        raise DataFormatError(f"--{flag} must be finite and > 0, got {value!r}")
+    if _module("svm")._setting(value, type(value)) is None:
+        bound = "finite and > 0" if value > 0 else "> 0"
+        raise DataFormatError(f"--{flag} must be {bound}, got {value!r}")
     return value
 
 

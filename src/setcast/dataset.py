@@ -39,6 +39,9 @@ BLOCK_CHARS = 1 << 16
 #: Rows that write_rows formats and writes, and the row reader holds as
 #: Python floats, at a time.
 BLOCK_ROWS = 1024
+#: namedtuple's ``_make`` for a record whose constructor checks its fields, so
+#: that ``_replace`` builds through those checks and len() may count rows.
+_checked_make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class Dataset(namedtuple("Dataset", "features y attribute_names")):
@@ -51,7 +54,7 @@ class Dataset(namedtuple("Dataset", "features y attribute_names")):
     """
 
     __slots__ = ()
-    _make = classmethod(tuple.__new__)  # namedtuple's checks len(), which counts rows here
+    _make = _checked_make
 
     def __new__(cls, features, y, attribute_names: tuple = ATTRIBUTE_NAMES):
         try:
@@ -93,7 +96,7 @@ class RawSeries(namedtuple("RawSeries", "dates values")):
     ``values``, in which NaN marks a missing value."""
 
     __slots__ = ()
-    _make = classmethod(tuple.__new__)  # as Dataset's
+    _make = _checked_make
 
     def __len__(self):
         return len(self.dates)
@@ -105,6 +108,7 @@ class FoldAssignment(namedtuple("FoldAssignment", "k assignment")):
     1-D array of integers in [0, k); anything else raises DataFormatError."""
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, k: int, assignment):
         assignment = np.asarray(assignment)
@@ -361,8 +365,8 @@ class KeyValueFile:
             raise DataFormatError(f"{self.path}: {key} must be one of {options}, got {value!r}")
         return value
 
-    def number(self, key) -> float:
-        return self.convert(key, self.text(key), float)
+    def number(self, key, kind=float):
+        return self.convert(key, self.text(key), kind)
 
     def positive(self, key, kind=float):
         """``key`` as a positive float, or int for ``kind=int``."""
@@ -371,18 +375,14 @@ class KeyValueFile:
             raise DataFormatError(f"{self.path}: {key} must be positive, got {value!r}")
         return value
 
-    def integer(self, key) -> int:
-        return self.convert(key, self.text(key), int)
-
     def convert(self, key, value: str, kind):
-        """``value`` as a finite float or a non-negative int."""
+        """``value`` as a finite float, or a non-negative int within float's range."""
         try:
-            out = kind(value)
-        except ValueError:
-            out = None
-        if out is None or not (math.isfinite(out) if kind is float else out >= 0):
-            raise DataFormatError(f"{self.path}: bad value {value!r} for {key}")
-        return out
+            if math.isfinite(out := kind(value)) and (kind is float or out >= 0):
+                return out
+        except (ValueError, OverflowError):  # OverflowError: an int beyond float's range
+            pass
+        raise DataFormatError(f"{self.path}: bad value {value!r} for {key}")
 
     def finish(self) -> None:
         if self.entries:
@@ -436,14 +436,17 @@ def build_training_table(series: RawSeries) -> Dataset:
     """Convert raw daily prices into labeled percent-change samples.
 
     Every date, of complete days and incomplete ones alike, must be a
-    YYYY-MM-DD day later than the date before it.  Days with any missing
-    value are then dropped.  Each remaining run of three consecutive days
-    (t-2, t-1, t) yields one sample: the features are the t-2 -> t-1
-    percentage changes of the six input series and the label is the
-    direction of day t's SET session (open vs. close).
+    YYYY-MM-DD day later than the date before it, and no price may be
+    infinite.  Days with a missing (NaN) price are then dropped.  Each
+    remaining run of three consecutive days (t-2, t-1, t) yields one sample:
+    the features are the t-2 -> t-1 percentage changes of the six input
+    series and the label is the direction of day t's SET session (open vs. close).
     """
     _require_increasing_days(series.dates)
-    keep = np.flatnonzero(np.isfinite(series.values).all(axis=1))
+    infinite = np.flatnonzero(np.isinf(series.values).any(axis=1))
+    if infinite.size:
+        raise DataFormatError(f"{series.dates[infinite[0]]}: a price is infinite")
+    keep = np.flatnonzero(~np.isnan(series.values).any(axis=1))
     if len(keep) < 3:
         raise DataFormatError("need at least 3 complete days to build samples")
     col = {name: i for i, name in enumerate(RAW_COLUMNS)}

@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import CLASS_LABELS, DOWN, UP, Dataset, FoldAssignment, KeyValueFile
+from .dataset import CLASS_LABELS, DOWN, UP, Dataset, FoldAssignment, KeyValueFile, _checked_make
 from .errors import DataFormatError, TrainingError
 
 LINEAR = "linear"
@@ -61,11 +61,11 @@ KERNEL_SETTINGS = {LINEAR: {}, POLY: {"degree": int}, RBF: {"delta_sq": float}}
 
 
 def _setting(value, kind):
-    """``kind(value)`` for a positive, finite int (or for float, int or float)
-    ``value``, NumPy's included and never a bool; None for anything else."""
+    """``kind(value)`` for an int (or for float, int or float) ``value``, never
+    a bool, NumPy's included, whose float() is finite and > 0; else None."""
     kinds = (int, np.integer) if kind is int else (int, float, np.integer, np.floating)
     with contextlib.suppress(OverflowError):  # float() of an int beyond float's range
-        if isinstance(value, kinds) and not isinstance(value, bool) and 0 < kind(value) < math.inf:
+        if isinstance(value, kinds) and not isinstance(value, bool) and 0 < float(value) < math.inf:
             return kind(value)
     return None
 
@@ -76,15 +76,17 @@ class KernelSpec(namedtuple("KernelSpec", "kind degree delta_sq")):
     stored as a float: the settings KERNEL_SETTINGS lists, as :func:`_setting` reads them."""
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, kind: str, degree: int | None = None, delta_sq: float | None = None):
-        self = super().__new__(cls, kind, degree, delta_sq)
+        given = {"degree": degree, "delta_sq": delta_sq}
         settings = KERNEL_SETTINGS.get(kind) if isinstance(kind, str) else None
-        stored = {n: _setting(getattr(self, n), t) for n, t in (settings or {}).items()}
-        extra = [n for n in self._fields[1:] if n not in stored and getattr(self, n) is not None]
+        stored = {n: _setting(given[n], t) for n, t in (settings or {}).items()}
+        extra = [n for n, v in given.items() if n not in stored and v is not None]
         if settings is None or extra or None in stored.values():
-            raise DataFormatError(f"invalid kernel spec {self!r}")
-        return self._replace(**stored)
+            raise DataFormatError(f"invalid kernel spec {cls.__name__}(kind={kind!r}, "
+                                  f"degree={degree!r}, delta_sq={delta_sq!r})")
+        return super().__new__(cls, kind, **{**given, **stored})
 
     def describe(self) -> str:
         settings = KERNEL_SETTINGS[self.kind]
@@ -102,16 +104,16 @@ class TrainerConfig(namedtuple("TrainerConfig", "C kkt_tol max_passes")):
     """
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, C: float = 1.0, kkt_tol: float = 1e-3, max_passes: int = 100):
-        self = super().__new__(cls, C, kkt_tol, max_passes)
-        passes = max_passes
-        if (max_passes := _setting(passes, int)) is None:
-            raise DataFormatError(f"trainer config max_passes must be an int >= 1, got {passes!r}")
-        C, kkt_tol = _setting(C, float), _setting(kkt_tol, float)
-        if C is None or kkt_tol is None:
-            raise DataFormatError(f"invalid trainer config {self!r}")
-        return self._replace(C=C, kkt_tol=kkt_tol, max_passes=max_passes)
+        if (passes := _setting(max_passes, int)) is None:
+            raise DataFormatError("trainer config max_passes must be an int >= 1, "
+                                  f"got {max_passes!r}")
+        if None in (stored := (_setting(C, float), _setting(kkt_tol, float))):
+            raise DataFormatError(f"invalid trainer config {cls.__name__}(C={C!r}, "
+                                  f"kkt_tol={kkt_tol!r}, max_passes={max_passes!r})")
+        return super().__new__(cls, *stored, passes)
 
 
 class SvmModel(NamedTuple):
@@ -447,7 +449,7 @@ def load_model(source) -> SvmModel:
     C, bias = f.positive("C"), f.number("bias")
     converged = f.choice("converged", ("true", "false")) == "true"
     kkt_violation = f.number("kkt_violation")
-    m = f.integer("n_support")
+    m = f.number("n_support", int)
     coefficients = [f.positive(f"sv.{i}.alpha") for i in range(m)]
     for i, alpha in enumerate(coefficients):
         if alpha > C:

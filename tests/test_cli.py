@@ -99,6 +99,23 @@ def test_ingest_change_beyond_ten_digit_float_range_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cell, code, samples", [("inf", 2, None), ("-inf", 2, None), ("", 0, 3)])
+def test_ingest_refuses_an_infinite_price_but_drops_a_missing_day(tmp_path, capsys, cell,
+                                                                  code, samples):
+    # six days, one of them with a GOLD price of ``cell``: an infinite price
+    # was once dropped as a missing day, which left 3 samples instead of 4
+    rows = [(f"2010-01-{d:02d}",) + ROW[1:] for d in (4, 5, 6, 7, 8, 11)]
+    rows[3] = rows[3][:-1] + (cell,)
+    raw, out = tmp_path / "raw.csv", tmp_path / "o.csv"
+    raw.write_text(raw_csv_text(rows))
+    assert run("ingest", "--data", str(raw), "--output", str(out)) == code
+    if samples is None:
+        assert capsys.readouterr().err == "error: 2010-01-07: a price is infinite\n"
+        assert not out.exists()
+    else:
+        assert len(ds.load_samples(out)) == samples
+
+
 def test_ingest_missing_input_is_io_error(tmp_path):
     assert run("ingest", "--data", str(tmp_path / "nope.csv"),
                "--output", str(tmp_path / "out.csv")) == 3
@@ -176,9 +193,24 @@ def test_invalid_svm_flag_is_named(command, flags, message, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("flags, flag", [
+    (("--max-passes", str(10**400)), "max-passes"),
+    (("--kernel", "poly", "--degree", str(10**400)), "degree"),
+])
+@pytest.mark.parametrize("command", ["train", "cv", "compare"])
+def test_svm_int_flag_beyond_float_range_is_named(command, flags, flag, tmp_path, capsys):
+    # math.isfinite of such an int once raised OverflowError, a traceback
+    model = () if command == "compare" else ("--model", "svm")
+    assert run(command, *model, *flags, "--output", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"error: --{flag} must be finite and > 0, got {10**400}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("kernel, line, message", [
     ("rbf", "delta_sq = 0", "delta_sq must be positive, got 0.0"),
     ("poly", "degree = 0", "degree must be positive, got 0"),
+    # such a degree once raised OverflowError inside kernel_matrix
+    ("poly", f"degree = {10**400}", f"bad value '{10**400}' for degree"),
     ("linear", "kernel = sigmoid", "kernel must be one of ('linear', 'poly', 'rbf'), got 'sigmoid'"),
 ])
 def test_invalid_svm_model_key_is_named(kernel, line, message, tmp_path, capsys):
@@ -342,6 +374,16 @@ def test_poly_degree_overflow_names_the_degree(capsys):
     err = capsys.readouterr().err
     assert err == ("error: attribute SP500: the poly degree=300 SVM fit is not finite; "
                    "a feature value or the degree is too large in magnitude\n")
+
+
+def test_compare_fails_with_the_svm_error_after_naive_bayes_fits(tmp_path, capsys):
+    # naive Bayes fits the bundled data, so compare re-raises the SVM's error
+    out = tmp_path / "report"
+    assert run("compare", "--kernel", "poly", "--degree", "300", "--output", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "error: attribute SP500: the poly degree=300 SVM fit is not finite; "
+        "a feature value or the degree is too large in magnitude\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["1e200", "-1e200", "1e300"])

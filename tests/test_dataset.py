@@ -229,6 +229,34 @@ def test_replace_copies_a_record_whose_len_counts_rows(market_data):
     shifted = series._replace(values=series.values + 1)
     assert type(shifted) is ds.RawSeries and len(shifted) == 4
     assert shifted.dates == series.dates and shifted.values[3, 0] == 5
+    folds = ds.stratified_folds(market_data, 3, 1)._replace(k=np.int64(4))
+    assert type(folds) is ds.FoldAssignment and type(folds.k) is int and folds.k == 4
+    relabeled = market_data._replace(y=[0, 1] * 15)
+    assert relabeled.y.dtype == np.int8 and len(relabeled) == 30
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"y": [0] * 3}, "features must be (n, d) with one class index per row"),
+    ({"y": [2] * 30}, "y must hold integer indices into ('UP', 'DOWN')"),
+    ({"features": np.full((30, 6), np.nan)}, "all feature values must be finite"),
+    ({"attribute_names": ("x",)}, "1 attribute names for 6 feature columns"),
+], ids=["rows", "labels", "nan", "names"])
+def test_dataset_replace_runs_the_constructor_checks(market_data, fields, message):
+    with pytest.raises(DataFormatError) as caught:
+        market_data._replace(**fields)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"k": 1}, "fold count must be an int >= 2, got 1"),
+    ({"k": True}, "fold count must be an int >= 2, got True"),
+    ({"assignment": [3] * 30}, "fold indices must be a 1-D array of integers in [0, 3)"),
+])
+def test_fold_assignment_replace_runs_the_constructor_checks(market_data, fields, message):
+    # k=1 once made cross_validate score 10 of the 30 rows
+    with pytest.raises(DataFormatError) as caught:
+        ds.stratified_folds(market_data, 3, 1)._replace(**fields)
+    assert str(caught.value) == message
 
 
 def test_load_samples_missing_file(tmp_path):
@@ -298,6 +326,39 @@ def test_missing_day_is_skipped(tmp_path):
     # NK change measured day 1 -> day 3 because day 2 dropped out
     assert table.features[0][0] == pytest.approx(21.0)
     assert table.y.tolist() == [1]  # DOWN
+
+
+_SIX_DAYS = [(f"2010-01-{d:02d}", "100", "100", str(100 + d), "105", "100", "100", "100")
+             for d in (4, 5, 6, 7, 8, 11)]
+
+
+@pytest.mark.parametrize("reader", ["plain", "quoted"])
+@pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity"])
+def test_an_infinite_raw_price_is_refused_naming_its_date(tmp_path, reader, cell):
+    # an infinite price was once dropped like a missing one
+    rows = [list(row) for row in _SIX_DAYS]
+    rows[2][6] = cell  # SP500 on 2010-01-06
+    if reader == "quoted":
+        rows[0][0] = f'"{rows[0][0]}"'  # only the row reader reads a quote
+    path = tmp_path / "raw.csv"
+    path.write_text(raw_csv_text(rows), encoding="utf-8")
+    series = ds.load_raw_series(path)
+    assert np.isinf(series.values[2, 5]) and series.dates[0] == "2010-01-04"
+    with pytest.raises(DataFormatError, match=r"^2010-01-06: a price is infinite$"):
+        ds.build_training_table(series)
+    rows[2][6] = ""  # the same day missing instead: dropped, 3 samples
+    path.write_text(raw_csv_text(rows), encoding="utf-8")
+    assert len(ds.build_training_table(ds.load_raw_series(path))) == 3
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_an_infinite_price_of_a_series_built_in_python_is_refused(value):
+    days = [[1.0] * 7 for _ in range(5)]
+    days[3][0] = value
+    with pytest.raises(DataFormatError, match=r"^2010-01-07: a price is infinite$"):
+        ds.build_training_table(_series(*days))
+    days[3][0] = np.nan
+    assert len(ds.build_training_table(_series(*days))) == 2
 
 
 def test_too_few_complete_days(tmp_path):
@@ -540,6 +601,9 @@ def _label_direction(open_price, close_price):
 
 
 def _reference_build_training_table(series):
+    for date, day in zip(series.dates, series.values):
+        if any(math.isinf(v) for v in day):
+            raise DataFormatError(f"{date}: a price is infinite")
     keep = np.flatnonzero(np.isfinite(series.values).all(axis=1))
     if len(keep) < 3:
         raise DataFormatError("need at least 3 complete days to build samples")
@@ -897,6 +961,9 @@ def test_build_training_table_matches_per_day_loop(data):
     price = st.one_of(st.floats(min_value=1e-3, max_value=1e6),
                       st.sampled_from([0.0, -1.0, np.nan]))
     values = np.array([[data.draw(price) for _ in ds.RAW_COLUMNS] for _ in range(n)])
+    if n and data.draw(st.booleans()):  # an infinite price, which no day may hold
+        values[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, 6))] = \
+            data.draw(st.sampled_from([np.inf, -np.inf]))
     dates = np.datetime64("2010-01-04") + np.arange(n)
     series = ds.RawSeries(tuple(map(str, dates)), values.reshape(n, len(ds.RAW_COLUMNS)))
     got, want = (_outcome(build, series)

@@ -5,6 +5,7 @@ an exit 0 writes no NaN, and an exit 2 names its cause rather than printing
 a kernel or trainer repr."""
 import contextlib
 import io
+import math
 import re
 import warnings
 from pathlib import Path
@@ -141,6 +142,37 @@ def test_every_subcommand_keeps_the_exit_code_contract(inputs, target, mutations
         assert "KernelSpec(" not in err.getvalue() and "TrainerConfig(" not in err.getvalue()
     if code == 0:
         assert not re.search(r"\bnan\b", output.read_text(), re.IGNORECASE)
+
+
+#: Each numeric flag of cv and compare, the values it is given, and the
+#: kernel that reads it.
+FLAG_VALUES = {
+    **{flag: (st.integers(-2, 40) | st.integers(-10**500, 10**500),
+              "poly" if flag == "--degree" else "linear")
+       for flag in ("--degree", "--max-passes", "--folds", "--seed")},
+    **{flag: (st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]),
+              "rbf" if flag == "--delta-sq" else "linear")
+       for flag in ("--cost", "--kkt-tol", "--delta-sq")},
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(["cv", "compare"]),
+       flag_value=st.sampled_from(sorted(FLAG_VALUES)).flatmap(
+           lambda flag: st.tuples(st.just(flag), FLAG_VALUES[flag][0])))
+# Each example raised OverflowError from math.isfinite before one rule read the flags.
+@example(command="cv", flag_value=("--max-passes", 10**400))
+@example(command="compare", flag_value=("--degree", 10**400))
+def test_every_numeric_flag_value_keeps_the_exit_code_contract(command, flag_value):
+    flag, value = flag_value
+    flags = {"--kernel": FLAG_VALUES[flag][1], "--folds": 2, "--max-passes": 1, flag: value}
+    argv = [command, "--format", "machine"] + ["--model", "svm"] * (command == "cv")
+    argv += [f"{name}={v}" for name, v in flags.items()]  # "=" keeps "-inf" a value
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("command", ["cv", "compare"])

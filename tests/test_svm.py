@@ -66,6 +66,7 @@ def test_kernel_spec_validation():
                       ("poly", {"degree": 2, "delta_sq": 1.0}),  # a setting poly does not take
                       ("rbf", {"degree": 2, "delta_sq": 1.0}),  # nor rbf
                       ("rbf", {"delta_sq": 10**400}),  # beyond float range
+                      ("poly", {"degree": 10**400}),  # an int beyond it too
                       ("rbf", {"delta_sq": np.longdouble("1e400")})):
         with pytest.raises(DataFormatError, match=r"^invalid kernel spec KernelSpec\("):
             svm.KernelSpec(kind, **bad)
@@ -86,7 +87,7 @@ def test_trainer_config_validation():
             svm.TrainerConfig(**bad)
 
 
-@pytest.mark.parametrize("max_passes", [1.5, True, 2.0, "3", None])
+@pytest.mark.parametrize("max_passes", [1.5, True, 2.0, "3", None, 10**400])
 def test_trainer_config_requires_an_int_pass_count(max_passes):
     # 1.5 used to reach range() inside train_smo as a bare TypeError, and
     # True ran as one pass
@@ -95,10 +96,11 @@ def test_trainer_config_requires_an_int_pass_count(max_passes):
 
 
 #: Setting values of every kind a library caller might pass: None, bools,
-#: ints, floats with NaN and +-inf, strings, complex numbers, Decimals,
-#: Fractions and NumPy scalars.
+#: ints (beyond float's range too), floats with NaN and +-inf, strings,
+#: complex numbers, Decimals, Fractions and NumPy scalars.
 SETTING_VALUES = st.one_of(
     st.none(), st.booleans(), st.sampled_from([np.True_, np.False_]), st.integers(),
+    st.integers(10**300, 10**500),
     st.floats(), st.text(max_size=4), st.complex_numbers(), st.decimals(), st.fractions(),
     st.integers(-2**63, 2**63 - 1).map(np.int64), st.floats().map(np.float64),
     st.floats(width=32).map(np.float32),
@@ -131,6 +133,46 @@ def test_every_setting_is_a_record_or_a_data_format_error(market_data, value):
                 (float, float, int)
         else:
             assert isinstance(record, ds.FoldAssignment) and type(record.k) is int
+        assert _finite_numbers(record), record
+
+
+def _finite_numbers(record) -> bool:
+    """Whether every numeric field of ``record`` converts to finite floats."""
+    try:
+        return all(np.isfinite(np.asarray(v, dtype=float)).all()
+                   for v in record if v is not None and not isinstance(v, str))
+    except OverflowError:  # an int beyond float's range
+        return False
+
+
+@pytest.mark.parametrize("record, fields, message", [
+    (svm.KernelSpec(svm.LINEAR), {"degree": 3},
+     "invalid kernel spec KernelSpec(kind='linear', degree=3, delta_sq=None)"),
+    (svm.KernelSpec(svm.POLY, degree=2), {"degree": 0},
+     "invalid kernel spec KernelSpec(kind='poly', degree=0, delta_sq=None)"),
+    (svm.KernelSpec(svm.RBF, delta_sq=1.0), {"kind": "sigmoid"},
+     "invalid kernel spec KernelSpec(kind='sigmoid', degree=None, delta_sq=1.0)"),
+    (svm.TrainerConfig(), {"C": -1.0},
+     "invalid trainer config TrainerConfig(C=-1.0, kkt_tol=0.001, max_passes=100)"),
+    (svm.TrainerConfig(), {"kkt_tol": math.nan},
+     "invalid trainer config TrainerConfig(C=1.0, kkt_tol=nan, max_passes=100)"),
+    (svm.TrainerConfig(), {"max_passes": 10**400},
+     f"trainer config max_passes must be an int >= 1, got {10**400}"),
+])
+def test_replace_runs_the_constructor_checks(record, fields, message):
+    # a bad C once reached _fit_bias as a bare ValueError
+    with pytest.raises(DataFormatError) as caught:
+        record._replace(**fields)
+    assert str(caught.value) == message
+
+
+def test_replace_stores_settings_as_the_constructor_does():
+    spec = svm.KernelSpec(svm.POLY, degree=2)._replace(kind=svm.RBF, degree=None, delta_sq=2)
+    assert type(spec) is svm.KernelSpec and spec == svm.KernelSpec(svm.RBF, delta_sq=2.0)
+    assert type(spec.delta_sq) is float
+    config = svm.TrainerConfig()._replace(C=2, max_passes=np.int64(5))
+    assert type(config) is svm.TrainerConfig and config == svm.TrainerConfig(2.0, 1e-3, 5)
+    assert (type(config.C), type(config.max_passes)) == (float, int)
 
 
 def test_numpy_integer_degree_and_pass_count_are_ints():
